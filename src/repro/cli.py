@@ -338,24 +338,35 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_sigterm_drain(stop_event) -> None:
-    """Make SIGTERM behave like Ctrl-C for the serve/fleet loops.
+async def _serve_until_stopped(server) -> None:
+    """Serve until Ctrl-C or SIGTERM; the caller then stops ``server``.
 
-    Supervised daemons (the fleet supervisor, systemd, containers) stop
-    children with SIGTERM; without a handler Python dies mid-solve with
-    a traceback and a non-zero exit.  Setting ``stop_event`` lets the
-    accept loop drain inflight work, close the socket, and exit 0.
-    No-op on loops/platforms without signal-handler support.
+    Ctrl-C cancels this wait (asyncio.run's SIGINT handler); the
+    cancellation must propagate after the drain so asyncio.run
+    re-raises KeyboardInterrupt and main() can exit 130.  SIGTERM
+    resolves the event instead: drain and return 0.  Supervised daemons
+    (the fleet supervisor, systemd, containers) stop children with
+    SIGTERM; without a handler Python dies mid-solve with a traceback
+    and a non-zero exit.
     """
     import asyncio
     import signal
 
+    sigterm = asyncio.Event()
     try:
-        asyncio.get_running_loop().add_signal_handler(
-            signal.SIGTERM, stop_event.set
-        )
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, sigterm.set)
     except (NotImplementedError, RuntimeError):  # pragma: no cover - win/nested
         pass
+    serve_task = asyncio.create_task(server.serve_forever())
+    sigterm_task = asyncio.create_task(sigterm.wait())
+    try:
+        await asyncio.wait(
+            {serve_task, sigterm_task}, return_when=asyncio.FIRST_COMPLETED
+        )
+    finally:
+        for task in (serve_task, sigterm_task):
+            task.cancel()
+        await asyncio.gather(serve_task, sigterm_task, return_exceptions=True)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -388,24 +399,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"cache={server.cache.capacity}) — Ctrl-C to stop",
             flush=True,
         )
-        sigterm = asyncio.Event()
-        _install_sigterm_drain(sigterm)
-        serve_task = asyncio.create_task(server.serve_forever())
-        sigterm_task = asyncio.create_task(sigterm.wait())
         try:
-            # Ctrl-C cancels this wait (asyncio.run's SIGINT handler);
-            # the cancellation must propagate after the drain so
-            # asyncio.run re-raises KeyboardInterrupt and main() can
-            # exit 130.  SIGTERM resolves the event instead: drain and
-            # return 0 (supervised shards must die cleanly).
-            await asyncio.wait(
-                {serve_task, sigterm_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            await _serve_until_stopped(server)
         finally:
-            for task in (serve_task, sigterm_task):
-                task.cancel()
-            await asyncio.gather(serve_task, sigterm_task, return_exceptions=True)
             await server.stop()
 
     asyncio.run(run())
@@ -473,19 +469,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"restarts={args.restarts}) — Ctrl-C to stop",
             flush=True,
         )
-        sigterm = asyncio.Event()
-        _install_sigterm_drain(sigterm)
-        serve_task = asyncio.create_task(router.serve_forever())
-        sigterm_task = asyncio.create_task(sigterm.wait())
         try:
-            await asyncio.wait(
-                {serve_task, sigterm_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            await _serve_until_stopped(router)
         finally:
-            for task in (serve_task, sigterm_task):
-                task.cancel()
-            await asyncio.gather(serve_task, sigterm_task, return_exceptions=True)
             await supervisor.stop()
             await router.stop()
 
@@ -505,26 +491,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     client = SyncPlannerClient(host=args.host, port=args.port,
                                retries=args.retries)
-    try:
-        result = client.plan(
-            workload_to_dict(workload),
-            provider=args.provider,
-            n_vms=args.vms,
-            iterations=args.iterations,
-            seed=args.seed,
-            use_castpp=not args.basic,
-            restarts=args.restarts,
-            backend=args.backend,
-            replicas=args.replicas,
-            tenant=args.tenant,
-        )
-    except ConnectionRefusedError:
-        print(
-            f"no planner at {args.host}:{args.port} — start one with "
-            f"'cast-plan serve' (or 'cast-plan fleet')",
-            file=sys.stderr,
-        )
-        return 2
+    result = client.plan(
+        workload_to_dict(workload),
+        provider=args.provider,
+        n_vms=args.vms,
+        iterations=args.iterations,
+        seed=args.seed,
+        use_castpp=not args.basic,
+        restarts=args.restarts,
+        backend=args.backend,
+        replicas=args.replicas,
+        tenant=args.tenant,
+    )
     _render_plan(
         result.get("solver", "CAST++"),
         workload,
@@ -582,21 +560,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
             title=f"cast-plan top — {args.host}:{args.port}",
         )
 
-    try:
-        if args.once:
-            print(one_frame(), end="")
-            return 0
-        while True:
-            frame = one_frame()
-            print(CLEAR + frame, end="", flush=True)
-            time.sleep(args.interval)
-    except ConnectionRefusedError:
-        print(
-            f"no planner at {args.host}:{args.port} — start one with "
-            f"'cast-plan serve' (or 'cast-plan fleet')",
-            file=sys.stderr,
-        )
-        return 2
+    if args.once:
+        print(one_frame(), end="")
+        return 0
+    while True:
+        frame = one_frame()
+        print(CLEAR + frame, end="", flush=True)
+        time.sleep(args.interval)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -606,17 +576,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .service.client import SyncPlannerClient
 
     client = SyncPlannerClient(host=args.host, port=args.port)
-    try:
-        report = client.profile(
-            duration_s=args.duration, interval_s=args.interval
-        )
-    except ConnectionRefusedError:
-        print(
-            f"no planner at {args.host}:{args.port} — start one with "
-            f"'cast-plan serve' (or 'cast-plan fleet')",
-            file=sys.stderr,
-        )
-        return 2
+    report = client.profile(duration_s=args.duration, interval_s=args.interval)
     print(
         f"sampled {report['samples']} frames over {report['duration_s']:.2f}s "
         f"(every {report['interval_s'] * 1000:.1f} ms)"
@@ -643,15 +603,7 @@ def _cmd_debug_dump(args: argparse.Namespace) -> int:
     from .service.client import SyncPlannerClient
 
     client = SyncPlannerClient(host=args.host, port=args.port)
-    try:
-        bundle = client.debug_dump(reason="cli")
-    except ConnectionRefusedError:
-        print(
-            f"no planner at {args.host}:{args.port} — start one with "
-            f"'cast-plan serve' (or 'cast-plan fleet')",
-            file=sys.stderr,
-        )
-        return 2
+    bundle = client.debug_dump(reason="cli")
     path = args.out or f"castdump-{int(time.time() * 1000)}-cli.jsonl"
     dump_bundle(path, bundle)
     slo = bundle.get("slo") or {}
@@ -1334,6 +1286,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except ConnectionRefusedError:
+        # Only the client subcommands (submit, top, profile, debug-dump)
+        # connect anywhere.
+        print(
+            f"no planner at {args.host}:{args.port} — start one with "
+            f"'cast-plan serve' (or 'cast-plan fleet')",
+            file=sys.stderr,
+        )
+        return 2
     except CastError as exc:
         # Service-relayed errors carry the server-side trace id (the
         # client stamps it from the error envelope) — print it so the

@@ -54,70 +54,35 @@ registry and merges them — stamped with a ``shard`` label — into one
 exposition, so fleet-wide totals are one scrape and per-shard
 breakdowns are one label away.
 
-The router carries the same operational layer as a shard
-(:mod:`repro.obs.slo` / :mod:`repro.obs.flightrec` /
-:mod:`repro.obs.sampler`): the dispatch loop times every request and
-feeds a flight recorder that also remembers which shard served it,
-the ``slo`` op evaluates the router's own engine and rolls every
-shard's report up (worst shard state wins, per op), a ``page``
-transition auto-writes a postmortem bundle into ``dump_dir``, and
-``profile``/``debug_dump`` work exactly as on a shard.
+The connection loop, dispatch, steps 2–3 and the operational layer
+(flight recorder, SLO engine, page → dump, ``profile``/``debug_dump``)
+are the daemon's own, shared through
+:class:`~repro.service.base.OpServer`; the router's ``slo`` op also
+rolls every shard's report up (worst shard state wins, per op).
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import time
 import uuid
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Set
 
-from ..cloud import resolve_provider
 from ..errors import (
     CastError,
     FleetError,
     NoHealthyShardsError,
     ProtocolError,
     ServiceTimeoutError,
-    ServiceUnavailableError,
 )
-from ..obs.flightrec import FlightRecorder, build_bundle, dump_bundle
 from ..obs.metrics import MetricsRegistry
-from ..obs.sampler import SamplingProfiler
-from ..obs.slo import (
-    BurnPolicy,
-    Objective,
-    SLOEngine,
-    Transition,
-    rollup_reports,
-)
-from ..obs.tracing import current_trace_id, span
-from ..service.cache import PlanCache
-from ..service.fingerprint import (
-    request_fingerprint,
-    sweep_fingerprint,
-    whatif_fingerprint,
-)
+from ..obs.slo import rollup_reports
+from ..obs.tracing import span
+from ..service.base import OpServer, metrics_format
+from ..service.client import PlannerClient, ping
 from ..service.pool import DEFAULT_RESTARTS
-from ..service.protocol import (
-    MAX_LINE_BYTES,
-    error_response,
-    exception_from_payload,
-    make_request,
-    ok_response,
-    parse_request,
-    parse_response,
-    read_message,
-    send_message,
-)
-from ..service.server import (
-    _MAX_PROFILE_S,
-    _UNRECORDED_OPS,
-    _normalize_solve_params,
-    _normalize_sweep_params,
-    _normalize_whatif_params,
-)
+from ..service.protocol import exception_from_payload
 from ..service.sessions import normalize_delta_params, normalize_open_params
 from .hashring import ConsistentHashRing
 from .tenancy import WeightedFairScheduler
@@ -167,35 +132,25 @@ class _ShardLink:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._free: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._busy: Set[asyncio.StreamWriter] = set()
+        self._free: List[PlannerClient] = []
+        self._busy: Set[PlannerClient] = set()
 
     async def request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
+        self, op: str, params: Mapping[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """One request/response round-trip, pooled."""
-        if self._free:
-            reader, writer = self._free.pop()
-        else:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port, limit=MAX_LINE_BYTES
-            )
-        self._busy.add(writer)
+        """One round-trip, pooled: the response envelope."""
+        client = self._free.pop() if self._free else PlannerClient(self.host, self.port)
+        self._busy.add(client)
         try:
-            await send_message(writer, payload)
-            line = await asyncio.wait_for(read_message(reader), timeout=timeout)
-            if line is None:
-                raise ServiceUnavailableError(
-                    f"shard {self.host}:{self.port} closed the connection "
-                    f"mid-request"
-                )
-            response = parse_response(line)
+            response = await asyncio.wait_for(
+                client.exchange(op, params), timeout=timeout
+            )
         except BaseException:
-            writer.close()
+            client.abort()
             raise
         finally:
-            self._busy.discard(writer)
-        self._free.append((reader, writer))
+            self._busy.discard(client)
+        self._free.append(client)
         return response
 
     def close(self) -> None:
@@ -208,15 +163,13 @@ class _ShardLink:
         health checker marks the shard down, instead of hanging until
         ``forward_timeout_s``.
         """
-        for _, writer in self._free:
-            writer.close()
+        for client in self._free + list(self._busy):
+            client.abort()
         self._free.clear()
-        for writer in list(self._busy):
-            writer.close()
         self._busy.clear()
 
 
-class FleetRouter:
+class FleetRouter(OpServer):
     """Orchestrator/router tier in front of N planner shards.
 
     Parameters
@@ -237,9 +190,23 @@ class FleetRouter:
     forward_timeout_s:
         Deadline for one forwarded request (should exceed the shards'
         own ``request_timeout_s`` so shard timeouts surface typed).
-    registry:
-        Metrics registry; a fresh one per router when omitted.
+    serving:
+        :class:`~repro.service.base.OpServer`'s keywords (``registry``,
+        the SLO and flight-recorder knobs, ``dump_dir``).
     """
+
+    ROLE = "fleet-router"
+    METRIC_PREFIX = "cast_fleet"
+    METRIC_HELP = {
+        "requests": "Request lines received by the router",
+        "events": "Router lifecycle events by kind",
+        "ops": "Router requests by op",
+        "tenant_requests": "Solve requests through the router by tenant",
+        "solve_seconds": "End-to-end router wall time of non-L1-cached solves",
+    }
+    REQUEST_SPAN = "fleet.request"
+    INTERNAL_ERROR = FleetError
+    INTERNAL_ERROR_EVENT = "internal_errors"
 
     def __init__(
         self,
@@ -256,18 +223,9 @@ class FleetRouter:
         health_timeout_s: float = 2.0,
         health_failures: int = 2,
         forward_timeout_s: float = 660.0,
-        registry: Optional[MetricsRegistry] = None,
-        slo_objectives: Optional[Sequence[Objective]] = None,
-        slo_policy: Optional[BurnPolicy] = None,
-        slo_clock: Optional[Any] = None,
-        slo_eval_interval_s: float = 5.0,
-        dump_dir: Optional[str] = None,
-        flight_capacity: int = 512,
-        flight_exemplars: int = 8,
+        **serving: Any,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.cache = PlanCache(capacity=cache_size)
+        super().__init__(host, port, cache_size=cache_size, **serving)
         self.scheduler = WeightedFairScheduler(
             max_inflight=max_inflight,
             max_queue_per_tenant=max_queue_per_tenant,
@@ -281,70 +239,19 @@ class FleetRouter:
         self.forward_timeout_s = float(forward_timeout_s)
         self._shards: Dict[str, ShardInfo] = {}
         self._links: Dict[str, _ShardLink] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._inflight: Dict[str, "asyncio.Future[Tuple[Dict[str, Any], bool]]"] = {}
-        self._health_task: Optional["asyncio.Task[None]"] = None
-        self._next_forward_id = 0
         # Streaming-session state: per-session replay log
         # ({"open": params, "deltas": [params...], "home": shard_id})
         # and a lock serializing ops per session.
         self._session_logs: Dict[str, Dict[str, Any]] = {}
         self._session_locks: Dict[str, asyncio.Lock] = {}
 
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "cast_fleet_requests_total", "Request lines received by the router"
-        )
-        self._ops = self.metrics.counter(
-            "cast_fleet_ops_total", "Router requests by op", labelnames=("op",)
-        )
-        self._events = self.metrics.counter(
-            "cast_fleet_events_total",
-            "Router lifecycle events by kind",
-            labelnames=("event",),
-        )
         self._routed = self.metrics.counter(
             "cast_fleet_routed_total",
             "Solves forwarded per shard",
             labelnames=("shard",),
         )
-        self._tenant_requests = self.metrics.counter(
-            "cast_fleet_tenant_requests_total",
-            "Solve requests through the router by tenant",
-            labelnames=("tenant",),
-        )
-        self._solve_seconds = self.metrics.histogram(
-            "cast_fleet_solve_seconds",
-            "End-to-end router wall time of non-L1-cached solves",
-        )
-        self._op_latency = self.metrics.histogram(
-            "cast_op_latency_seconds",
-            "Wire-level request latency by op",
-            labelnames=("op",),
-        )
-        self._op_requests = self.metrics.counter(
-            "cast_op_requests_total",
-            "Wire-level requests by op and outcome",
-            labelnames=("op", "outcome"),
-        )
-        self.cache.bind_metrics(self.metrics)
         self.scheduler.bind_metrics(self.metrics)
         self.metrics.register_collector("fleet_shards", self._mirror_shards)
-
-        self.recorder = FlightRecorder(
-            capacity=flight_capacity, exemplars=flight_exemplars
-        )
-        self.recorder.bind_metrics(self.metrics)
-        self.dump_dir = dump_dir
-        self.slo_eval_interval_s = float(slo_eval_interval_s)
-        self.slo = SLOEngine(
-            slo_objectives, policy=slo_policy, clock=slo_clock
-        )
-        self.slo.bind_metrics(self.metrics)
-        self.slo.on_transition(self._on_slo_transition)
-        self._slo_task: Optional["asyncio.Task[None]"] = None
-        self._started_at = time.monotonic()
 
     def _mirror_shards(self, reg: MetricsRegistry) -> None:
         states = reg.gauge(
@@ -434,22 +341,12 @@ class FleetRouter:
     async def _probe(self, info: ShardInfo) -> bool:
         """One ping round-trip on a throwaway connection."""
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(info.host, info.port),
-                timeout=self.health_timeout_s,
+            await asyncio.wait_for(
+                ping(info.host, info.port), timeout=self.health_timeout_s
             )
-            try:
-                await send_message(writer, make_request("ping", req_id="hc"))
-                line = await asyncio.wait_for(
-                    read_message(reader), timeout=self.health_timeout_s
-                )
-                if line is None:
-                    return False
-                return bool(parse_response(line).get("ok"))
-            finally:
-                writer.close()
-        except (OSError, asyncio.TimeoutError, ProtocolError):
+        except (OSError, asyncio.TimeoutError, CastError):
             return False
+        return True
 
     async def check_health(self) -> None:
         """Probe every registered shard once, updating ring membership."""
@@ -465,232 +362,23 @@ class FleetRouter:
                         f"{info.consecutive_failures} failed health checks",
                     )
 
-    async def _health_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.health_interval_s)
-            try:
-                await self.check_health()
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("health sweep failed; continuing")
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
         """Bind, start accepting connections, start the health loop."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
-        if self.health_interval_s > 0:
-            self._health_task = asyncio.create_task(self._health_loop())
-        if self.slo_eval_interval_s > 0:
-            self._slo_task = asyncio.create_task(self._slo_loop())
-        logger.info("fleet router listening on %s:%d", self.host, self.port)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — port resolved after :meth:`start`."""
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled or :meth:`stop`-ped."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        await super().start()
+        self._every(self.health_interval_s, self.check_health, "health sweep")
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain forwards, drop links."""
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            try:
-                await self._slo_task
-            except asyncio.CancelledError:
-                pass
-            self._slo_task = None
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._inflight:
-            await asyncio.gather(
-                *list(self._inflight.values()), return_exceptions=True
-            )
-        for writer in list(self._connections):
-            writer.close()
+        await super().stop()
         for link in self._links.values():
             link.close()
         self._links.clear()
-        logger.info("fleet router stopped")
 
-    # -- connection handling -------------------------------------------------
+    # -- router ops ----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await read_message(reader)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                self._requests_total.inc()
-                try:
-                    request = parse_request(line)
-                except ProtocolError as exc:
-                    self._events.inc(event="bad_requests")
-                    logger.debug("bad request line: %s", exc)
-                    await send_message(writer, error_response(None, exc))
-                    continue
-                response = await self._dispatch(request)
-                await send_message(writer, response)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        req_id = request.get("id")
-        params = request["params"]
-        self._ops.inc(op=op)
-        with span("fleet.request", attrs={"op": op}) as sp:
-            started = time.monotonic()
-            try:
-                response = await self._dispatch_inner(op, req_id, params)
-            except asyncio.CancelledError:
-                raise
-            except CastError as exc:
-                response = error_response(req_id, exc)
-            except Exception as exc:  # the router must outlive any request
-                self._events.inc(event="internal_errors")
-                logger.exception("internal error handling op %r", op)
-                response = error_response(
-                    req_id, FleetError(f"internal error: {exc!r}")
-                )
-            response["trace_id"] = sp.trace_id
-            self._record_request(
-                op, params, response, time.monotonic() - started, sp.trace_id
-            )
-            return response
-
-    def _record_request(
-        self,
-        op: str,
-        params: Mapping[str, Any],
-        response: Mapping[str, Any],
-        latency_s: float,
-        trace_id: Optional[str],
-    ) -> None:
-        """Per-op latency/outcome metrics + one flight-recorder record.
-
-        Mirrors the shard-side recorder but also remembers *which
-        shard* served each routed request — a fleet postmortem needs
-        the culprit, not just the symptom.
-        """
-        ok = bool(response.get("ok"))
-        self._op_latency.observe(latency_s, op=op)
-        self._op_requests.inc(op=op, outcome="ok" if ok else "error")
-        if op in _UNRECORDED_OPS:
-            return
-        error = None
-        if not ok:
-            error = str(response.get("error", {}).get("type", "error"))
-        shard = None
-        result = response.get("result")
-        if isinstance(result, Mapping):
-            shard = result.get("shard")
-        tenant = params.get("tenant")
-        self.recorder.record(
-            op=op,
-            latency_s=latency_s,
-            ok=ok,
-            cached=bool(response.get("cached", False)),
-            tenant=str(tenant) if tenant is not None else None,
-            shard=str(shard) if shard is not None else None,
-            error=error,
-            trace_id=trace_id,
-        )
-
-    async def _dispatch_inner(
-        self, op: str, req_id: Any, params: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(req_id, {"pong": True, "uptime_s": self.uptime_s})
-        if op == "stats":
-            return ok_response(req_id, self.stats())
-        if op == "metrics":
-            return ok_response(req_id, await self._metrics_op(params))
-        if op == "slo":
-            return ok_response(req_id, await self._slo_op(params))
-        if op == "profile":
-            return ok_response(req_id, await self._profile_op(params))
-        if op == "debug_dump":
-            return ok_response(req_id, self._debug_dump_op(params))
-        if op == "catalog":
-            return ok_response(req_id, self._catalog(params))
-        if op == "register":
-            return ok_response(req_id, self._register_op(params))
-        if op == "deregister":
-            shard_id = str(params.get("shard_id", ""))
-            removed = self.remove_shard(shard_id)
-            return ok_response(req_id, {"shard_id": shard_id, "removed": removed})
-        if op == "whatif":
-            result, cached = await self._whatif_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "sweep":
-            result, cached = await self._sweep_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op in ("session_open", "session_delta", "session_close"):
-            return ok_response(req_id, await self._session_op(op, params))
-        result, cached = await self._solve_op(op, params)
-        return ok_response(req_id, result, cached=cached)
-
-    # -- simple ops ----------------------------------------------------------
-
-    def _catalog(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        provider = resolve_provider(str(params.get("provider", "google")))
-        tiers = []
-        for tier in provider.tiers:
-            svc = provider.service(tier)
-            tiers.append(
-                {
-                    "tier": tier.value,
-                    "persistent": bool(svc.persistent),
-                    "price_gb_month": svc.price_gb_month,
-                    "price_gb_hr": provider.storage_price_gb_hr(tier),
-                }
-            )
-        return {
-            "provider": provider.name,
-            "tiers": tiers,
-            "vm": {
-                "name": provider.default_vm.name,
-                "price_per_hour_usd": provider.prices.vm_price_per_min * 60,
-            },
-        }
-
-    def _register_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_register(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         shard_id = params.get("shard_id")
         host = params.get("host")
         port = params.get("port")
@@ -705,67 +393,60 @@ class FleetRouter:
         info = self.add_shard(str(shard_id), str(host), port)
         return {"shard": info.to_dict(), "ring": self.ring.shards()}
 
-    async def _metrics_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        fmt = str(params.get("format", "prometheus")).lower()
-        scope = str(params.get("scope", "fleet")).lower()
-        if fmt not in ("prometheus", "json"):
-            raise ProtocolError(
-                f"unknown metrics format {fmt!r} (expected 'prometheus' or 'json')"
-            )
-        if scope == "router":
-            registry = self.metrics
-        elif scope == "fleet":
-            registry = await self._fleet_registry()
-        else:
-            raise ProtocolError(
-                f"unknown metrics scope {scope!r} (expected 'fleet' or 'router')"
-            )
-        if fmt == "prometheus":
-            return {
-                "format": "prometheus", "scope": scope,
-                "body": registry.to_prometheus(),
-            }
-        body = registry.to_json()
-        if scope == "router":
-            # Fleet-scope series carry shard labels the router's
-            # exemplars don't know about; only the router's own
-            # latency series get exemplars stamped.
-            self.recorder.attach_exemplars(body)
-        return {"format": "json", "scope": scope, "metrics": body}
+    async def _op_deregister(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        shard_id = str(params.get("shard_id", ""))
+        return {"shard_id": shard_id, "removed": self.remove_shard(shard_id)}
 
-    async def _fleet_registry(self) -> MetricsRegistry:
-        """Scrape every healthy shard and roll the registries up.
+    async def _scrape(self, op: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """``op`` on every healthy shard: shard id → result.
 
-        Each shard's snapshot merges with a ``shard=<id>`` label (the
-        router's own series merge as ``shard="router"``), so the
-        exposition carries per-shard series whose sum over the label is
-        the fleet-wide total.  A shard failing its scrape is skipped —
-        a dying shard must not take the fleet scrape down with it.
+        A shard failing its scrape is skipped (and counted) — a dying
+        shard must not take the fleet scrape down with it.
         """
-        fleet = MetricsRegistry()
-        fleet.merge(self.metrics.snapshot(), extra_labels={"shard": "router"})
+        results: Dict[str, Any] = {}
 
         async def scrape(shard_id: str) -> None:
             try:
                 response = await self._link(shard_id).request(
-                    make_request("metrics", {"format": "json"}, req_id="scrape"),
-                    timeout=self.health_timeout_s,
+                    op, params, timeout=self.health_timeout_s
                 )
             except (OSError, asyncio.TimeoutError, ProtocolError):
                 self._events.inc(event="scrape_failed")
                 return
             if response.get("ok"):
-                fleet.merge(
-                    response["result"]["metrics"],
-                    extra_labels={"shard": shard_id},
-                )
+                results[shard_id] = response["result"]
 
         await asyncio.gather(*(scrape(s) for s in self.healthy_shards))
-        return fleet
+        return results
 
-    # -- operational ops -----------------------------------------------------
+    async def _op_metrics(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """``metrics`` with a ``scope``: ``router`` (own registry) or
+        ``fleet`` (the default): every healthy shard's registry merged
+        with a ``shard=<id>`` label (the router's own series as
+        ``shard="router"``), so the sum over the label is the fleet-wide
+        total."""
+        fmt = metrics_format(params)
+        scope = str(params.get("scope", "fleet")).lower()
+        if scope == "router":
+            registry = self.metrics
+        elif scope == "fleet":
+            registry = MetricsRegistry()
+            registry.merge(self.metrics.snapshot(), extra_labels={"shard": "router"})
+            scraped = await self._scrape("metrics", {"format": "json"})
+            for shard_id, result in scraped.items():
+                registry.merge(result["metrics"], extra_labels={"shard": shard_id})
+        else:
+            raise ProtocolError(
+                f"unknown metrics scope {scope!r} (expected 'fleet' or 'router')"
+            )
+        # Fleet-scope series carry shard labels the router's exemplars
+        # don't know about; only the router's own series get them.
+        return dict(
+            self._exposition(registry, fmt, exemplars=scope == "router"),
+            scope=scope,
+        )
 
-    async def _slo_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_slo(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """The fleet ``slo`` op: worst-shard roll-up.
 
         Evaluates the router's own engine (over its wire-level
@@ -782,183 +463,94 @@ class FleetRouter:
             raise ProtocolError(
                 f"unknown slo scope {scope!r} (expected 'fleet' or 'router')"
             )
-        reports: Dict[str, Mapping[str, Any]] = {"router": own}
-
-        async def scrape(shard_id: str) -> None:
-            try:
-                response = await self._link(shard_id).request(
-                    make_request("slo", {}, req_id="slo-scrape"),
-                    timeout=self.health_timeout_s,
-                )
-            except (OSError, asyncio.TimeoutError, ProtocolError):
-                self._events.inc(event="scrape_failed")
-                return
-            if response.get("ok"):
-                reports[shard_id] = response["result"]
-
-        await asyncio.gather(*(scrape(s) for s in self.healthy_shards))
-        rollup = rollup_reports(reports)
+        rollup = rollup_reports({"router": own, **await self._scrape("slo", {})})
         rollup["policy"] = self.slo.policy.to_dict()
         return rollup
 
-    async def _profile_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``profile`` op: sample the *router* process.
+    # -- cached ops: fair queue → ring forward -------------------------------
 
-        Shard solver time never shows up here — point ``cast-plan
-        profile`` at a shard's own port for that.
+    async def _run_leader(
+        self, op: str, normalized: Dict[str, Any], fingerprint: str
+    ) -> Dict[str, Any]:
+        """Wait for a forward slot under the tenant's fair share, then
+        forward to the fingerprint's ring owner.
+
+        A sweep is deliberately NOT split across shards: its
+        amortization (shared catalog tensors, warm-start donors) lives
+        inside one engine, so one shard runs the whole grid.
         """
+        tenant = normalized["tenant"]
+        params = {k: v for k, v in normalized.items() if k != "op"}
+        await self.scheduler.acquire(tenant)
         try:
-            duration_s = float(params.get("duration_s", 1.0))
-            interval_s = float(params.get("interval_s", 0.005))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad profile params: {exc}") from None
-        if not 0.0 < duration_s <= _MAX_PROFILE_S:
-            raise ProtocolError(
-                f"profile duration_s must be in (0, {_MAX_PROFILE_S:g}], "
-                f"got {duration_s}"
-            )
-        if interval_s <= 0:
-            raise ProtocolError(
-                f"profile interval_s must be > 0, got {interval_s}"
-            )
-        profiler = SamplingProfiler(interval_s=interval_s)
-        return await asyncio.to_thread(profiler.run_for, duration_s)
+            started = time.monotonic()
+            result = await self._forward(op, params, fingerprint)
+            self._solve_seconds.observe(time.monotonic() - started)
+        finally:
+            self.scheduler.release(tenant)
+        self._events.inc(event="solves_ok")
+        return result
 
-    def _debug_dump_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``debug_dump`` op: the router's postmortem bundle."""
-        return self._build_bundle(reason=str(params.get("reason", "request")))
+    async def _forward(
+        self,
+        op: str,
+        params: Mapping[str, Any],
+        key: str,
+        prepare: Optional[Callable[[str], Awaitable[None]]] = None,
+    ) -> Dict[str, Any]:
+        """Forward to ``ring.route(key)``, walking successors on shard death.
 
-    def _build_bundle(self, reason: str) -> Dict[str, Any]:
-        return build_bundle(
-            registry=self.metrics,
-            recorder=self.recorder,
-            slo_report=self.slo.last_report,
-            config=self._config_payload(),
-            reason=reason,
-        )
-
-    def _config_payload(self) -> Dict[str, Any]:
-        return {
-            "role": "fleet-router",
-            "host": self.host,
-            "port": self.port,
-            "shards": [s.to_dict() for s in self._shards.values()],
-            "limits": {
-                "forward_timeout_s": self.forward_timeout_s,
-                "health_interval_s": self.health_interval_s,
-                "health_failures": self.health_failures,
-            },
-            "cache_capacity": self.cache.capacity,
-            "slo": self.slo.config(),
-            "dump_dir": self.dump_dir,
-        }
-
-    def _on_slo_transition(self, edge: Transition) -> None:
-        """Engine callback: auto-dump a bundle on every page entry."""
-        logger.warning("SLO %s: %s -> %s", edge.op, edge.old, edge.new)
-        if edge.new != "page":
-            return
-        path = self._write_dump(reason=f"page-{edge.op}")
-        if path is not None:
-            logger.warning("SLO page on %s: wrote debug dump %s", edge.op, path)
-
-    def _write_dump(self, reason: str) -> Optional[str]:
-        """Write one bundle into ``dump_dir`` (None = dumping disabled)."""
-        if not self.dump_dir:
-            return None
-        try:
-            os.makedirs(self.dump_dir, exist_ok=True)
-            stamp = int(time.time() * 1000)
-            path = os.path.join(
-                self.dump_dir, f"castdump-{stamp}-{reason}.jsonl"
-            )
-            dump_bundle(path, self._build_bundle(reason=reason))
-            self._events.inc(event="debug_dumps")
-            return path
-        except OSError:
-            logger.exception("failed to write debug dump; continuing")
-            return None
-
-    async def _slo_loop(self) -> None:
-        """Background tick over the router's own engine (states must
-        decay back to ``ok`` without traffic forcing an evaluation)."""
+        ``prepare(shard_id)`` runs first on the chosen shard, inside
+        the same failover handling.  Only *transport* failures fail
+        over — a typed error response (bad workload, shard busy, solve
+        timeout) is an answer about this request, deterministic on any
+        shard, and propagates as-is.
+        """
+        attempts = 0
+        max_attempts = max(1, len(self._shards))
         while True:
-            await asyncio.sleep(self.slo_eval_interval_s)
-            try:
-                self.slo.evaluate(registry=self.metrics)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("SLO evaluation failed; continuing")
-
-    # -- the solve path ------------------------------------------------------
-
-    async def _solve_op(
-        self, op: str, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        normalized = _normalize_solve_params(op, params)
-        restarts = normalized["restarts"] or self.default_restarts
-        # Pin the resolved restart count so the shard-side fingerprint
-        # (and therefore its cache) agrees with the router's key.
-        normalized["restarts"] = restarts
-        fingerprint = request_fingerprint(
-            op,
-            normalized["spec"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            restarts=restarts,
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-        )
-        return await self._route_request(op, normalized, fingerprint)
-
-    async def _whatif_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """``whatif`` through the fleet: same L1 cache, single-flight
-        and fair-queueing path as the solve ops; only the fingerprint
-        (and the downstream shard handler) differ."""
-        normalized = _normalize_whatif_params(params)
-        fingerprint = whatif_fingerprint(
-            normalized["spec"],
-            plan=normalized["plan"],
-            tier=normalized["tier"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            fast=normalized["fast"],
-        )
-        return await self._route_request("whatif", normalized, fingerprint)
-
-    async def _sweep_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """``sweep`` through the fleet: one shard runs the whole grid.
-
-        The sweep's amortization (shared catalog tensors, warm-start
-        donors) lives inside one engine, so the grid is deliberately
-        NOT split across shards — the fingerprint routes the sweep to
-        a single shard, which fans waves over its own process pool.
-        L1 cache, single-flight and fair queueing as for solves.
-        """
-        normalized = _normalize_sweep_params(params)
-        fingerprint = sweep_fingerprint(
-            normalized["specs"],
-            normalized["providers"],
-            reps=normalized["reps"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-            warm=normalized["warm"],
-        )
-        return await self._route_request("sweep", normalized, fingerprint)
+            if len(self.ring) == 0:
+                raise NoHealthyShardsError(
+                    f"no healthy shards to route {op!r} "
+                    f"({len(self._shards)} registered, all down)"
+                )
+            shard_id = self.ring.route(key)
+            with span(
+                "fleet.forward", attrs={"op": op, "shard": shard_id}
+            ):
+                try:
+                    if prepare is not None:
+                        await prepare(shard_id)
+                    response = await self._link(shard_id).request(
+                        op, params, timeout=self.forward_timeout_s
+                    )
+                except asyncio.TimeoutError:
+                    raise ServiceTimeoutError(
+                        f"forward to shard {shard_id} exceeded "
+                        f"{self.forward_timeout_s:.0f}s"
+                    ) from None
+                except (ConnectionError, OSError) as exc:
+                    attempts += 1
+                    self._mark_down(shard_id, f"forward failed: {exc!r}")
+                    self._events.inc(event="failovers")
+                    if attempts >= max_attempts:
+                        raise NoHealthyShardsError(
+                            f"every shard failed while routing {op!r} "
+                            f"(last: {shard_id}: {exc!r})"
+                        ) from exc
+                    continue
+            self._routed.inc(shard=shard_id)
+            if response.get("ok"):
+                result = dict(response["result"])
+                result["shard"] = shard_id
+                return result
+            raise exception_from_payload(response["error"])
 
     # -- streaming sessions --------------------------------------------------
+    #
+    # Sessions bypass the L1 cache / single-flight / fair queue: a delta
+    # is stateful, milliseconds of shard work, and never equivalent to
+    # another request.  Each pins to ``ring.route("session:<id>")``.
 
     def _session_lock(self, session_id: str) -> asyncio.Lock:
         lock = self._session_locks.get(session_id)
@@ -966,49 +558,66 @@ class FleetRouter:
             lock = self._session_locks[session_id] = asyncio.Lock()
         return lock
 
-    async def _session_op(self, op: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """Route one session op to its pinned shard (replaying on failover).
-
-        Sessions bypass the L1 cache / single-flight / fair queue: a
-        delta is stateful, milliseconds of shard work, and never
-        equivalent to another request.
-        """
-        if op == "session_open":
-            normalized = normalize_open_params(params)
-            session_id = (
-                normalized["session_id"] or f"session-{uuid.uuid4().hex[:12]}"
-            )
-            forward = {
-                k: v for k, v in normalized.items() if v is not None
+    async def _op_session_open(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        normalized = normalize_open_params(params)
+        session_id = normalized["session_id"] or f"session-{uuid.uuid4().hex[:12]}"
+        forward = {k: v for k, v in normalized.items() if v is not None}
+        forward["session_id"] = session_id
+        async with self._session_lock(session_id):
+            # Opening an existing id replaces the session — start a
+            # fresh log either way.
+            log = self._session_logs[session_id] = {
+                "open": dict(forward), "deltas": [], "home": None,
             }
-            forward["session_id"] = session_id
-            async with self._session_lock(session_id):
-                # Opening an existing id replaces the session — start a
-                # fresh log either way.
-                log = {"open": dict(forward), "deltas": [], "home": None}
-                self._session_logs[session_id] = log
-                result = await self._forward_session(op, forward, session_id)
+            result = await self._forward(
+                "session_open", forward, f"session:{session_id}"
+            )
+            log["home"] = result["shard"]
             return result
+
+    async def _op_session_delta(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        normalized = normalize_delta_params(params)
+        session_id = normalized["session_id"]
+        forward = {k: v for k, v in normalized.items() if v is not None}
+        async with self._session_lock(session_id):
+            result = await self._forward_session("session_delta", forward, session_id)
+            log = self._session_logs.get(session_id)
+            if log is not None:
+                log["deltas"].append(dict(forward))
+        return result
+
+    async def _op_session_close(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         session_id = str(params.get("session_id") or "")
-        if op == "session_delta":
-            normalized = normalize_delta_params(params)
-            session_id = normalized["session_id"]
-            forward = {k: v for k, v in normalized.items() if v is not None}
-            async with self._session_lock(session_id):
-                log = self._session_logs.get(session_id)
-                result = await self._forward_session(op, forward, session_id)
-                if log is not None:
-                    log["deltas"].append(dict(forward))
-            return result
-        # session_close
         if not session_id:
             raise ProtocolError("session_close params need a 'session_id'")
         async with self._session_lock(session_id):
             result = await self._forward_session(
-                op, {"session_id": session_id}, session_id
+                "session_close", {"session_id": session_id}, session_id
             )
             self._session_logs.pop(session_id, None)
         self._session_locks.pop(session_id, None)
+        return result
+
+    async def _forward_session(
+        self, op: str, params: Mapping[str, Any], session_id: str
+    ) -> Dict[str, Any]:
+        """Forward a delta or close to the session's ring owner.
+
+        When the owner is not the shard holding the session's state
+        (first contact after a failover or ring churn), the session log
+        replays there first.
+        """
+        log = self._session_logs.get(session_id)
+
+        async def replay_if_moved(shard_id: str) -> None:
+            if log is not None and log["home"] != shard_id:
+                await self._replay_session(shard_id, session_id, log)
+
+        result = await self._forward(
+            op, params, f"session:{session_id}", prepare=replay_if_moved
+        )
+        if log is not None:
+            log["home"] = result["shard"]
         return result
 
     async def _replay_session(
@@ -1027,12 +636,8 @@ class FleetRouter:
         steps.extend(("session_delta", dict(d)) for d in log["deltas"])
         for step_op, step_params in steps:
             step_params["include_plan"] = False
-            self._next_forward_id += 1
             response = await link.request(
-                make_request(
-                    step_op, step_params, req_id=f"r{self._next_forward_id}"
-                ),
-                timeout=self.forward_timeout_s,
+                step_op, step_params, timeout=self.forward_timeout_s
             )
             if not response.get("ok"):
                 raise exception_from_payload(response["error"])
@@ -1041,183 +646,7 @@ class FleetRouter:
             session_id, shard_id, len(log["deltas"]),
         )
 
-    async def _forward_session(
-        self, op: str, params: Mapping[str, Any], session_id: str
-    ) -> Dict[str, Any]:
-        """Forward one session op to ``ring.route("session:<id>")``.
-
-        When the ring owner is not the shard holding the session's
-        state (first contact after a failover or ring churn), the
-        session log replays there first.  Transport failures mark the
-        shard down and walk the ring, exactly like the solve path.
-        """
-        key = f"session:{session_id}"
-        attempts = 0
-        max_attempts = max(1, len(self._shards))
-        while True:
-            if len(self.ring) == 0:
-                raise NoHealthyShardsError(
-                    f"no healthy shards to route {op!r} "
-                    f"({len(self._shards)} registered, all down)"
-                )
-            shard_id = self.ring.route(key)
-            log = self._session_logs.get(session_id)
-            self._next_forward_id += 1
-            payload = make_request(op, params, req_id=f"f{self._next_forward_id}")
-            with span(
-                "fleet.forward", attrs={"op": op, "shard": shard_id}
-            ):
-                try:
-                    if (
-                        log is not None
-                        and op != "session_open"
-                        and log.get("home") != shard_id
-                    ):
-                        await self._replay_session(shard_id, session_id, log)
-                    response = await self._link(shard_id).request(
-                        payload, timeout=self.forward_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    raise ServiceTimeoutError(
-                        f"forward to shard {shard_id} exceeded "
-                        f"{self.forward_timeout_s:.0f}s"
-                    ) from None
-                except (ConnectionError, OSError) as exc:
-                    attempts += 1
-                    self._mark_down(shard_id, f"forward failed: {exc!r}")
-                    self._events.inc(event="failovers")
-                    if attempts >= max_attempts:
-                        raise NoHealthyShardsError(
-                            f"every shard failed while routing {op!r} "
-                            f"(last: {shard_id}: {exc!r})"
-                        ) from exc
-                    continue
-            self._routed.inc(shard=shard_id)
-            if response.get("ok"):
-                if log is not None:
-                    log["home"] = shard_id
-                result = dict(response["result"])
-                result["shard"] = shard_id
-                return result
-            raise exception_from_payload(response["error"])
-
-    async def _route_request(
-        self, op: str, normalized: Dict[str, Any], fingerprint: str
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Cache → single-flight → fair queue → ring forward, shared by
-        every forwarded op."""
-        tenant = normalized["tenant"]
-        self._tenant_requests.inc(tenant=tenant)
-
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader = self._inflight.get(fingerprint)
-        if leader is not None:
-            self._events.inc(event="dedup_joined")
-            result, _ = await asyncio.shield(leader)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Tuple[Dict[str, Any], bool]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
-        try:
-            await self.scheduler.acquire(tenant)
-            try:
-                started = time.monotonic()
-                result, shard_cached = await self._forward_with_failover(
-                    op, normalized, fingerprint
-                )
-                self._solve_seconds.observe(time.monotonic() - started)
-            finally:
-                self.scheduler.release(tenant)
-            result = dict(result)
-            self.cache.put(fingerprint, result)
-            self._events.inc(event="solves_ok")
-            future.set_result((result, shard_cached))
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()  # dedup waiters consume it; silence the loop
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
-
-    def _forward_params(self, normalized: Mapping[str, Any]) -> Dict[str, Any]:
-        params = {k: v for k, v in normalized.items() if k != "op"}
-        return params
-
-    async def _forward_with_failover(
-        self, op: str, normalized: Mapping[str, Any], fingerprint: str
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Forward to the ring owner, walking successors on shard death.
-
-        Only *transport* failures fail over — a typed error response
-        (bad workload, shard busy, solve timeout) is an answer about
-        this request, deterministic on any shard, and propagates as-is.
-        """
-        params = self._forward_params(normalized)
-        attempts = 0
-        max_attempts = max(1, len(self._shards))
-        while True:
-            if len(self.ring) == 0:
-                raise NoHealthyShardsError(
-                    f"no healthy shards to route {op!r} "
-                    f"({len(self._shards)} registered, all down)"
-                )
-            shard_id = self.ring.route(fingerprint)
-            self._next_forward_id += 1
-            payload = make_request(op, params, req_id=f"f{self._next_forward_id}")
-            with span(
-                "fleet.forward", attrs={"op": op, "shard": shard_id}
-            ):
-                try:
-                    response = await self._link(shard_id).request(
-                        payload, timeout=self.forward_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    raise ServiceTimeoutError(
-                        f"forward to shard {shard_id} exceeded "
-                        f"{self.forward_timeout_s:.0f}s"
-                    ) from None
-                except (ConnectionError, OSError) as exc:
-                    attempts += 1
-                    self._mark_down(shard_id, f"forward failed: {exc!r}")
-                    self._events.inc(event="failovers")
-                    if attempts >= max_attempts:
-                        raise NoHealthyShardsError(
-                            f"every shard failed while routing {op!r} "
-                            f"(last: {shard_id}: {exc!r})"
-                        ) from exc
-                    continue
-            self._routed.inc(shard=shard_id)
-            if response.get("ok"):
-                result = dict(response["result"])
-                result["shard"] = shard_id
-                return result, bool(response.get("cached", False))
-            raise exception_from_payload(response["error"])
-
     # -- introspection -------------------------------------------------------
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start`."""
-        return time.monotonic() - self._started_at
-
-    @property
-    def op_counts(self) -> Dict[str, int]:
-        """Requests per op, from ``cast_fleet_ops_total``."""
-        return {
-            labels["op"]: int(value) for labels, value in self._ops.samples()
-        }
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -1227,34 +656,34 @@ class FleetRouter:
             for labels, value in self._events.samples()
         }
 
+    def _limits(self) -> Dict[str, Any]:
+        return {
+            "forward_timeout_s": self.forward_timeout_s,
+            "health_interval_s": self.health_interval_s,
+            "health_failures": self.health_failures,
+        }
+
+    def _config_payload(self) -> Dict[str, Any]:
+        shards = [s.to_dict() for s in self._shards.values()]
+        return dict(super()._config_payload(), shards=shards)
+
     def stats(self) -> Dict[str, Any]:
         """The router's ``stats`` op payload."""
-        return {
-            "role": "fleet-router",
-            "uptime_s": self.uptime_s,
-            "requests": self.op_counts,
-            "counters": self.counters,
-            "cache": self.cache.stats(),
-            "tenancy": self.scheduler.stats(),
-            "shards": [s.to_dict() for s in self._shards.values()],
-            "ring": self.ring.describe(),
-            "routed": {
+        return dict(
+            super().stats(),
+            role=self.ROLE,
+            tenancy=self.scheduler.stats(),
+            shards=[s.to_dict() for s in self._shards.values()],
+            ring=self.ring.describe(),
+            routed={
                 labels["shard"]: int(value)
                 for labels, value in self._routed.samples()
             },
-            "flight_recorder": self.recorder.stats(),
-            "slo": self.slo.states,
-            "inflight": len(self._inflight),
-            "sessions": {
+            sessions={
                 sid: {
                     "home": log.get("home"),
                     "deltas_logged": len(log["deltas"]),
                 }
                 for sid, log in self._session_logs.items()
             },
-            "limits": {
-                "forward_timeout_s": self.forward_timeout_s,
-                "health_interval_s": self.health_interval_s,
-                "health_failures": self.health_failures,
-            },
-        }
+        )

@@ -37,8 +37,8 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from ..errors import FleetError
-from ..service.protocol import make_request, parse_response, read_message, send_message
+from ..errors import CastError, FleetError
+from ..service.client import ping
 from .router import FleetRouter
 
 __all__ = ["FleetSupervisor", "ShardProcess", "free_port"]
@@ -214,17 +214,9 @@ class FleetSupervisor:
                     f"before becoming ready"
                 )
             try:
-                reader, writer = await asyncio.open_connection(
-                    shard.host, shard.port
-                )
-                try:
-                    await send_message(writer, make_request("ping", req_id="sup"))
-                    line = await asyncio.wait_for(read_message(reader), timeout=2.0)
-                finally:
-                    writer.close()
-                if line is not None and parse_response(line).get("ok"):
-                    return
-            except (OSError, asyncio.TimeoutError):
+                await asyncio.wait_for(ping(shard.host, shard.port), timeout=2.0)
+                return
+            except (OSError, asyncio.TimeoutError, CastError):
                 pass
             await asyncio.sleep(0.05)
         raise FleetError(

@@ -13,8 +13,11 @@ work across requests:
   eviction counters;
 * :mod:`repro.service.pool` — multi-start simulated-annealing solver
   pool on a ``ProcessPoolExecutor`` (deterministic per seed);
-* :mod:`repro.service.server` — asyncio TCP server with single-flight
-  dedup, backpressure, per-request timeouts, graceful shutdown;
+* :mod:`repro.service.base` — the op-serving core the daemon shares
+  with the fleet router: connection loop, op-table dispatch, cache +
+  single-flight, SLOs and postmortems;
+* :mod:`repro.service.server` — the daemon: solver pool, admission
+  control, per-request timeouts, streaming sessions;
 * :mod:`repro.service.client` — async and sync clients.
 
 Everything is stdlib + the package's existing numpy dependency: no new

@@ -27,6 +27,8 @@ duplicate costs at most one cache lookup on the far side.
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import random
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -40,7 +42,7 @@ from .protocol import (
     send_message,
 )
 
-__all__ = ["PlannerClient", "PlannerSessionHandle", "SyncPlannerClient"]
+__all__ = ["PlannerClient", "PlannerSessionHandle", "SyncPlannerClient", "ping"]
 
 
 def _as_job_dict(job: Any) -> Dict[str, Any]:
@@ -60,35 +62,10 @@ def _as_reuse_set_dict(rs: Any) -> Dict[str, Any]:
     return reuse_set_to_dict(rs)
 
 
-def _solve_params(
-    spec: Mapping[str, Any],
-    provider: str,
-    n_vms: int,
-    iterations: int,
-    seed: int,
-    use_castpp: bool,
-    restarts: Optional[int],
-    backend: Optional[str] = None,
-    replicas: Optional[int] = None,
-    tenant: Optional[str] = None,
-) -> Dict[str, Any]:
-    params: Dict[str, Any] = {
-        "spec": dict(spec),
-        "provider": provider,
-        "n_vms": n_vms,
-        "iterations": iterations,
-        "seed": seed,
-        "use_castpp": use_castpp,
-    }
-    if restarts is not None:
-        params["restarts"] = restarts
-    if backend is not None:
-        params["backend"] = backend
-    if replicas is not None:
-        params["replicas"] = replicas
-    if tenant is not None:
-        params["tenant"] = tenant
-    return params
+def _params(**fields: Any) -> Dict[str, Any]:
+    """Request params; a ``None`` field is left out, so the server's
+    default applies."""
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 class PlannerClient:
@@ -141,14 +118,19 @@ class PlannerClient:
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""
-        if self._writer is not None:
-            self._writer.close()
+        writer = self._writer
+        self.abort()
+        if writer is not None:
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
-            self._reader = None
-            self._writer = None
+
+    def abort(self) -> None:
+        """Close the socket now, without waiting; a pending read sees EOF."""
+        if self._writer is not None:
+            self._writer.close()
+            self._reader = self._writer = None
 
     async def __aenter__(self) -> "PlannerClient":
         return await self.connect()
@@ -164,9 +146,11 @@ class PlannerClient:
             delay *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
         return max(0.0, delay)
 
-    async def _request_once(
-        self, op: str, params: Optional[Mapping[str, Any]]
+    async def exchange(
+        self, op: str, params: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:
+        """One round-trip, no retries: the validated response envelope,
+        error envelopes included."""
         await self.connect()
         assert self._reader is not None and self._writer is not None
         self._next_id += 1
@@ -189,7 +173,7 @@ class PlannerClient:
         attempt = 0
         while True:
             try:
-                response = await self._request_once(op, params)
+                response = await self.exchange(op, params)
                 break
             except (ConnectionError, OSError):
                 # Covers refused/reset/broken-pipe and the typed
@@ -211,7 +195,12 @@ class PlannerClient:
             raise exc
         return response
 
-    async def _solve_result(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _result(
+        self, op: str, params: Optional[Mapping[str, Any]] = None
+    ) -> Dict[str, Any]:
+        return dict((await self.request(op, params))["result"])
+
+    async def _cached_result(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
         response = await self.request(op, params)
         result = dict(response["result"])
         result["cached"] = bool(response.get("cached", False))
@@ -221,11 +210,11 @@ class PlannerClient:
 
     async def ping(self) -> Dict[str, Any]:
         """Liveness probe."""
-        return dict((await self.request("ping"))["result"])
+        return await self._result("ping")
 
     async def stats(self) -> Dict[str, Any]:
         """Server counters (cache, pool, single-flight, limits)."""
-        return dict((await self.request("stats"))["result"])
+        return await self._result("stats")
 
     async def metrics(
         self, format: str = "prometheus", scope: Optional[str] = None
@@ -239,10 +228,7 @@ class PlannerClient:
         rolls the registries up with per-shard labels;
         ``scope="router"`` returns only the router's own instruments.
         """
-        params: Dict[str, Any] = {"format": format}
-        if scope is not None:
-            params["scope"] = scope
-        return dict((await self.request("metrics", params))["result"])
+        return await self._result("metrics", _params(format=format, scope=scope))
 
     async def slo(self, scope: Optional[str] = None) -> Dict[str, Any]:
         """The server's SLO report (burn rates + ok/warning/page per op).
@@ -251,10 +237,7 @@ class PlannerClient:
         report up (worst shard state wins); ``scope="router"`` returns
         the router's own report only.
         """
-        params: Dict[str, Any] = {}
-        if scope is not None:
-            params["scope"] = scope
-        return dict((await self.request("slo", params))["result"])
+        return await self._result("slo", _params(scope=scope))
 
     async def profile(
         self, duration_s: float = 1.0, interval_s: float = 0.005
@@ -265,45 +248,29 @@ class PlannerClient:
         :mod:`repro.obs.sampler`).  The call blocks for the whole
         duration.
         """
-        return dict(
-            (
-                await self.request(
-                    "profile",
-                    {"duration_s": duration_s, "interval_s": interval_s},
-                )
-            )["result"]
+        return await self._result(
+            "profile", {"duration_s": duration_s, "interval_s": interval_s}
         )
 
     async def debug_dump(self, reason: str = "request") -> Dict[str, Any]:
         """Fetch a flight-recorder postmortem bundle from the server."""
-        return dict(
-            (await self.request("debug_dump", {"reason": reason}))["result"]
-        )
+        return await self._result("debug_dump", {"reason": reason})
 
     async def catalog(self, provider: str = "google") -> Dict[str, Any]:
         """The provider's storage catalog and prices."""
-        return dict(
-            (await self.request("catalog", {"provider": provider}))["result"]
-        )
+        return await self._result("catalog", {"provider": provider})
 
     async def register(
         self, shard_id: str, host: str, port: int
     ) -> Dict[str, Any]:
         """Register a planner shard with the fleet router."""
-        return dict(
-            (
-                await self.request(
-                    "register",
-                    {"shard_id": shard_id, "host": host, "port": int(port)},
-                )
-            )["result"]
+        return await self._result(
+            "register", {"shard_id": shard_id, "host": host, "port": int(port)}
         )
 
     async def deregister(self, shard_id: str) -> Dict[str, Any]:
         """Remove a planner shard from the fleet router."""
-        return dict(
-            (await self.request("deregister", {"shard_id": shard_id}))["result"]
-        )
+        return await self._result("deregister", {"shard_id": shard_id})
 
     async def plan(
         self,
@@ -328,11 +295,13 @@ class PlannerClient:
         changes the plan (plans are tenant-independent pure functions
         of the request).
         """
-        return await self._solve_result(
+        return await self._cached_result(
             "plan",
-            _solve_params(
-                workload, provider, n_vms, iterations, seed, use_castpp, restarts,
-                backend=backend, replicas=replicas, tenant=tenant,
+            _params(
+                spec=dict(workload), provider=provider, n_vms=n_vms,
+                iterations=iterations, seed=seed, use_castpp=use_castpp,
+                restarts=restarts, backend=backend, replicas=replicas,
+                tenant=tenant,
             ),
         )
 
@@ -358,19 +327,14 @@ class PlannerClient:
         cached by its own fingerprint (``fast`` included, since the two
         paths agree only within the documented tolerance).
         """
-        params: Dict[str, Any] = {
-            "spec": dict(workload),
-            "provider": provider,
-            "n_vms": n_vms,
-            "fast": fast,
-        }
-        if plan is not None:
-            params["plan"] = dict(plan)
-        if tier is not None:
-            params["tier"] = tier
-        if tenant is not None:
-            params["tenant"] = tenant
-        return await self._solve_result("whatif", params)
+        return await self._cached_result(
+            "whatif",
+            _params(
+                spec=dict(workload), plan=None if plan is None else dict(plan),
+                tier=tier, provider=provider, n_vms=n_vms, fast=fast,
+                tenant=tenant,
+            ),
+        )
 
     async def sweep(
         self,
@@ -400,23 +364,15 @@ class PlannerClient:
         """
         if isinstance(workloads, Mapping):
             workloads = [workloads]
-        params: Dict[str, Any] = {
-            "specs": [dict(w) for w in workloads],
-            "providers": list(providers),
-            "reps": reps,
-            "n_vms": n_vms,
-            "iterations": iterations,
-            "seed": seed,
-            "use_castpp": use_castpp,
-            "backend": backend,
-            "replicas": replicas,
-            "warm": warm,
-        }
-        if workers is not None:
-            params["workers"] = workers
-        if tenant is not None:
-            params["tenant"] = tenant
-        return await self._solve_result("sweep", params)
+        return await self._cached_result(
+            "sweep",
+            _params(
+                specs=[dict(w) for w in workloads], providers=list(providers),
+                reps=reps, n_vms=n_vms, iterations=iterations, seed=seed,
+                use_castpp=use_castpp, backend=backend, replicas=replicas,
+                warm=warm, workers=workers, tenant=tenant,
+            ),
+        )
 
     async def plan_workflow(
         self,
@@ -429,11 +385,12 @@ class PlannerClient:
         tenant: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Deadline-optimize a workflow DAG."""
-        return await self._solve_result(
+        return await self._cached_result(
             "plan_workflow",
-            _solve_params(
-                workflow, provider, n_vms, iterations, seed, True, restarts,
-                tenant=tenant,
+            _params(
+                spec=dict(workflow), provider=provider, n_vms=n_vms,
+                iterations=iterations, seed=seed, use_castpp=True,
+                restarts=restarts, tenant=tenant,
             ),
         )
 
@@ -461,25 +418,17 @@ class PlannerClient:
         :meth:`session_delta` calls re-plan by warm start in
         milliseconds.  Returns at least ``session_id``.
         """
-        params: Dict[str, Any] = {
-            "provider": provider,
-            "n_vms": n_vms,
-            "iterations": iterations,
-            "seed": seed,
-            "use_castpp": use_castpp,
-            "include_plan": include_plan,
-        }
-        if workload is not None:
-            params["spec"] = dict(workload)
-        if session_id is not None:
-            params["session_id"] = session_id
-        if backend is not None:
-            params["backend"] = backend
-        if replicas is not None:
-            params["replicas"] = replicas
-        if config is not None:
-            params["config"] = dict(config)
-        return dict((await self.request("session_open", params))["result"])
+        return await self._result(
+            "session_open",
+            _params(
+                spec=None if workload is None else dict(workload),
+                session_id=session_id, provider=provider, n_vms=n_vms,
+                iterations=iterations, seed=seed, use_castpp=use_castpp,
+                backend=backend, replicas=replicas,
+                config=None if config is None else dict(config),
+                include_plan=include_plan,
+            ),
+        )
 
     async def session_delta(
         self,
@@ -509,15 +458,11 @@ class PlannerClient:
                     _as_reuse_set_dict(rs) for rs in (reuse_sets or [])
                 ],
             }
-        return dict((await self.request("session_delta", params))["result"])
+        return await self._result("session_delta", params)
 
     async def session_close(self, session_id: str) -> Dict[str, Any]:
         """Close a session; returns its final plan and counters."""
-        return dict(
-            (
-                await self.request("session_close", {"session_id": session_id})
-            )["result"]
-        )
+        return await self._result("session_close", {"session_id": session_id})
 
     def session(
         self,
@@ -608,8 +553,20 @@ class PlannerSessionHandle:
         return self.summary
 
 
+async def ping(host: str, port: int) -> Dict[str, Any]:
+    """One ``ping`` on a throwaway connection (health/readiness probes)."""
+    async with PlannerClient(host, port) as client:
+        return await client.ping()
+
+
 class SyncPlannerClient:
-    """Blocking facade over :class:`PlannerClient` (one connection per call)."""
+    """Blocking facade over :class:`PlannerClient` (one connection per call).
+
+    Every public coroutine of :class:`PlannerClient` (``ping``, ``plan``,
+    ``session_delta``...) is mirrored here as a blocking method with the
+    same signature.  Session state lives server-side, keyed by the
+    returned ``session_id``, so sessions work across calls too.
+    """
 
     def __init__(
         self,
@@ -639,70 +596,16 @@ class SyncPlannerClient:
 
         return asyncio.run(call())
 
-    def ping(self) -> Dict[str, Any]:
-        """Liveness probe."""
-        return self._run("ping")
 
-    def stats(self) -> Dict[str, Any]:
-        """Server counters."""
-        return self._run("stats")
+def _blocking(name: str, coro_fn: Any) -> Any:
+    @functools.wraps(coro_fn)
+    def method(self: SyncPlannerClient, *args: Any, **kwargs: Any) -> Dict[str, Any]:
+        return self._run(name, *args, **kwargs)
 
-    def metrics(
-        self, format: str = "prometheus", scope: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """The server's metrics registry (Prometheus text or JSON)."""
-        return self._run("metrics", format=format, scope=scope)
+    return method
 
-    def slo(self, scope: Optional[str] = None) -> Dict[str, Any]:
-        """The server's (or fleet's rolled-up) SLO report."""
-        return self._run("slo", scope=scope)
 
-    def profile(
-        self, duration_s: float = 1.0, interval_s: float = 0.005
-    ) -> Dict[str, Any]:
-        """Run the server's sampling profiler (blocks for the duration)."""
-        return self._run("profile", duration_s=duration_s, interval_s=interval_s)
-
-    def debug_dump(self, reason: str = "request") -> Dict[str, Any]:
-        """Fetch a postmortem bundle from the server."""
-        return self._run("debug_dump", reason=reason)
-
-    def catalog(self, provider: str = "google") -> Dict[str, Any]:
-        """Provider catalog."""
-        return self._run("catalog", provider=provider)
-
-    def plan(self, workload: Mapping[str, Any], **kwargs: Any) -> Dict[str, Any]:
-        """Solve a workload."""
-        return self._run("plan", workload, **kwargs)
-
-    def whatif(self, workload: Mapping[str, Any], **kwargs: Any) -> Dict[str, Any]:
-        """Measure a fixed tiering on the server's simulator."""
-        return self._run("whatif", workload, **kwargs)
-
-    def sweep(
-        self,
-        workloads: "Sequence[Mapping[str, Any]] | Mapping[str, Any]",
-        **kwargs: Any,
-    ) -> Dict[str, Any]:
-        """Solve a cross-catalog sweep grid on the server."""
-        return self._run("sweep", workloads, **kwargs)
-
-    def plan_workflow(self, workflow: Mapping[str, Any], **kwargs: Any) -> Dict[str, Any]:
-        """Deadline-optimize a workflow."""
-        return self._run("plan_workflow", workflow, **kwargs)
-
-    def session_open(
-        self, workload: Optional[Mapping[str, Any]] = None, **kwargs: Any
-    ) -> Dict[str, Any]:
-        """Open a streaming planning session (state lives server-side,
-        keyed by the returned ``session_id`` — safe across the one
-        connection-per-call model of this facade)."""
-        return self._run("session_open", workload, **kwargs)
-
-    def session_delta(self, session_id: str, **kwargs: Any) -> Dict[str, Any]:
-        """Admit a delta to a streaming session."""
-        return self._run("session_delta", session_id, **kwargs)
-
-    def session_close(self, session_id: str) -> Dict[str, Any]:
-        """Close a streaming session."""
-        return self._run("session_close", session_id)
+for _name, _fn in inspect.getmembers(PlannerClient, inspect.iscoroutinefunction):
+    if not _name.startswith("_") and _name not in ("connect", "close"):
+        setattr(SyncPlannerClient, _name, _blocking(_name, _fn))
+del _name, _fn

@@ -297,18 +297,8 @@ class SolverPool:
     def solve_sync(
         self, request: Mapping[str, Any], restarts: Optional[int] = None
     ) -> Dict[str, Any]:
-        """Blocking multi-start solve (CLI fallback, benchmarks)."""
-        with obs_tracing.span(
-            "pool.solve", attrs={"op": request.get("op")}
-        ) as sp:
-            tasks, seeds = self._tasks(request, restarts)
-            sp.attrs["restarts"] = len(tasks)
-            self.tasks_started += len(tasks)
-            futures = [self.executor.submit(solve_restart, t) for t in tasks]
-            results = self._absorb([f.result() for f in futures])
-            self.tasks_completed += len(results)
-            self.solves_completed += 1
-            return _select_best(results, seeds)
+        """Blocking :meth:`solve`, for callers without an event loop."""
+        return asyncio.run(self.solve(request, restarts))
 
     async def solve(
         self, request: Mapping[str, Any], restarts: Optional[int] = None

@@ -10,11 +10,10 @@ Request lifecycle for the solve ops (``plan`` / ``plan_workflow``)::
           → multi-start solve on the pool, under a per-request timeout
           → cache + fan the result out to every waiter
 
-Single-flight dedup means a burst of identical requests — the common
-shape for a planning service, since tenants re-submit recurring
-workloads — costs exactly one solve; everyone else awaits the leader's
-future.  Failures propagate to all waiters but are *not* cached, so a
-transient failure doesn't poison the fingerprint.
+The connection loop, dispatch, cache and single-flight path and the
+operational layer below live in :class:`~repro.service.base.OpServer`,
+shared with the fleet router; this module adds the solver pool,
+admission control and the streaming sessions.
 
 The server is one asyncio loop; all heavy work happens in the pool's
 worker processes, so the loop stays responsive for ``ping``/``stats``
@@ -46,37 +45,17 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import time
-from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..cloud import resolve_provider
-from ..errors import (
-    CastError,
-    ProtocolError,
-    ServiceBusyError,
-    ServiceError,
-    ServiceTimeoutError,
-)
-from ..obs.flightrec import FlightRecorder, build_bundle, dump_bundle
-from ..obs.metrics import MetricsRegistry
-from ..obs.sampler import SamplingProfiler
-from ..obs.slo import BurnPolicy, Objective, SLOEngine, Transition
-from ..obs.tracing import current_trace_id, span
+from ..errors import ServiceBusyError, ServiceError, ServiceTimeoutError
+from ..obs.tracing import span
 from ..simulator.cache import register_metrics as register_sim_cache_metrics
 from ..simulator.vectorized import register_fastpath_metrics
-from .cache import PlanCache
-from .fingerprint import request_fingerprint, sweep_fingerprint, whatif_fingerprint
+from .base import OpServer
 from .pool import SolverPool
 from .sessions import SessionManager
-from .protocol import (
-    MAX_LINE_BYTES,
-    error_response,
-    ok_response,
-    parse_request,
-    read_message,
-    send_message,
-)
 
 __all__ = ["PlannerServer"]
 
@@ -92,120 +71,6 @@ _EVENT_KEYS = (
     "timeouts",
     "rejected",
 )
-
-#: Ops excluded from the flight-recorder ring: monitoring traffic (a
-#: dashboard polling every 2 s) must not evict the solve records a
-#: postmortem actually needs.  Their latencies still land in
-#: ``cast_op_latency_seconds`` like everyone else's.
-_UNRECORDED_OPS = frozenset(
-    ("ping", "stats", "metrics", "slo", "profile", "debug_dump")
-)
-
-#: ``profile`` op duration ceiling — the op blocks a worker thread for
-#: its whole duration, so an unbounded request would be a free DoS.
-_MAX_PROFILE_S = 30.0
-
-
-def _normalize_solve_params(op: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fill knob defaults and type-check the envelope-level fields.
-
-    Spec-level validation (job records, DAG shape...) happens inside
-    fingerprinting/solving and raises ``WorkloadError`` on its own.
-    """
-    spec = params.get("spec")
-    if not isinstance(spec, Mapping):
-        raise ProtocolError(f"{op} params need a 'spec' object (a workload/workflow dict)")
-    try:
-        return {
-            "op": op,
-            "spec": dict(spec),
-            "tenant": str(params.get("tenant", "default")),
-            "provider": str(params.get("provider", "google")),
-            "n_vms": int(params.get("n_vms", 25)),
-            "iterations": int(params.get("iterations", 3000)),
-            "seed": int(params.get("seed", 42)),
-            "use_castpp": bool(params.get("use_castpp", True)),
-            "backend": str(params.get("backend", "anneal")),
-            "replicas": int(params.get("replicas", 8)),
-            "restarts": (
-                None if params.get("restarts") is None else int(params["restarts"])
-            ),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad solver knob in {op} params: {exc}") from None
-
-
-def _normalize_whatif_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate the ``whatif`` envelope: a spec plus exactly one tiering."""
-    spec = params.get("spec")
-    if not isinstance(spec, Mapping):
-        raise ProtocolError("whatif params need a 'spec' object (a workload dict)")
-    plan = params.get("plan")
-    tier = params.get("tier")
-    if (plan is None) == (tier is None):
-        raise ProtocolError(
-            "whatif params need exactly one of 'plan' (a tiering-plan dict) "
-            "or 'tier' (a uniform tier name)"
-        )
-    if plan is not None and not isinstance(plan, Mapping):
-        raise ProtocolError("whatif 'plan' must be an object")
-    try:
-        return {
-            "spec": dict(spec),
-            "plan": None if plan is None else dict(plan),
-            "tier": None if tier is None else str(tier),
-            "tenant": str(params.get("tenant", "default")),
-            "provider": str(params.get("provider", "google")),
-            "n_vms": int(params.get("n_vms", 25)),
-            "fast": bool(params.get("fast", True)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad knob in whatif params: {exc}") from None
-
-
-def _normalize_sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate the ``sweep`` envelope: workload spec(s) plus axes."""
-    specs = params.get("specs")
-    if specs is None:
-        spec = params.get("spec")
-        specs = None if spec is None else [spec]
-    if (
-        not isinstance(specs, (list, tuple))
-        or not specs
-        or not all(isinstance(s, Mapping) for s in specs)
-    ):
-        raise ProtocolError(
-            "sweep params need 'specs' (a non-empty list of workload "
-            "dicts) or 'spec' (a single workload dict)"
-        )
-    providers = params.get("providers", ["google"])
-    if (
-        not isinstance(providers, (list, tuple))
-        or not providers
-        or not all(isinstance(p, str) for p in providers)
-    ):
-        raise ProtocolError(
-            "sweep 'providers' must be a non-empty list of catalog names"
-        )
-    try:
-        return {
-            "specs": [dict(s) for s in specs],
-            "providers": [str(p) for p in providers],
-            "tenant": str(params.get("tenant", "default")),
-            "reps": int(params.get("reps", 1)),
-            "n_vms": int(params.get("n_vms", 25)),
-            "iterations": int(params.get("iterations", 3000)),
-            "seed": int(params.get("seed", 42)),
-            "use_castpp": bool(params.get("use_castpp", True)),
-            "backend": str(params.get("backend", "anneal")),
-            "replicas": int(params.get("replicas", 8)),
-            "warm": bool(params.get("warm", True)),
-            "workers": (
-                None if params.get("workers") is None else int(params["workers"])
-            ),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad knob in sweep params: {exc}") from None
 
 
 def _run_sweep(request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -302,7 +167,16 @@ def _run_whatif(request: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-class PlannerServer:
+#: Cached ops a leader runs on a worker thread instead of the solver
+#: pool: op → (blocking function, elapsed-seconds result key, success
+#: event).  Any other cached op is an admission-controlled pool solve.
+_THREAD_OPS = {
+    "whatif": (_run_whatif, "measure_seconds", "whatifs_ok"),
+    "sweep": (_run_sweep, "sweep_seconds", "sweeps_ok"),
+}
+
+
+class PlannerServer(OpServer):
     """Long-lived planning daemon with caching and single-flight dedup.
 
     Parameters
@@ -325,10 +199,25 @@ class PlannerServer:
     solver_fn:
         Test seam: ``async (request_dict) -> result_dict`` replacing the
         pool solve.
-    registry:
-        Metrics registry to report into; each server gets its own fresh
-        one when omitted, so per-server counters always start at zero.
+    serving:
+        :class:`~repro.service.base.OpServer`'s keywords (``registry``,
+        the SLO and flight-recorder knobs, ``dump_dir``).  Each server
+        gets its own fresh registry when omitted, so per-server counters
+        always start at zero.
     """
+
+    ROLE = "server"
+    METRIC_PREFIX = "cast_service"
+    METRIC_HELP = {
+        "requests": "Request lines received",
+        "events": "Service lifecycle events by kind",
+        "ops": "Requests by op",
+        "tenant_requests": "Solve requests by tenant",
+        "solve_seconds": "End-to-end wall time of non-cached solves",
+    }
+    REQUEST_SPAN = "service.request"
+    INTERNAL_ERROR = ServiceError
+    INTERNAL_ERROR_EVENT = "solve_errors"
 
     def __init__(
         self,
@@ -343,497 +232,113 @@ class PlannerServer:
         max_queue: int = 64,
         request_timeout_s: float = 600.0,
         solver_fn: Optional[Any] = None,
-        registry: Optional[MetricsRegistry] = None,
-        slo_objectives: Optional[Sequence[Objective]] = None,
-        slo_policy: Optional[BurnPolicy] = None,
-        slo_clock: Optional[Any] = None,
-        slo_eval_interval_s: float = 5.0,
-        dump_dir: Optional[str] = None,
-        flight_capacity: int = 512,
-        flight_exemplars: int = 8,
+        **serving: Any,
     ) -> None:
         if max_inflight < 1:
             raise ServiceError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port, cache_size=cache_size, **serving)
         if pool is None:
             kwargs: Dict[str, Any] = {"processes": pool_processes}
             if restarts is not None:
                 kwargs["restarts"] = restarts
             pool = SolverPool(**kwargs)
         self.pool = pool
-        self.cache = PlanCache(capacity=cache_size)
         self.max_inflight = int(max_inflight)
         self.max_queue = int(max_queue)
         self.request_timeout_s = float(request_timeout_s)
         self._solver_fn = solver_fn
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._solve_sem = asyncio.Semaphore(self.max_inflight)
         self._admitted = 0  # solves admitted but not yet finished
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "cast_service_requests_total", "Request lines received"
-        )
-        self._events = self.metrics.counter(
-            "cast_service_events_total",
-            "Service lifecycle events by kind",
-            labelnames=("event",),
-        )
-        self._ops = self.metrics.counter(
-            "cast_service_ops_total", "Requests by op", labelnames=("op",)
-        )
-        self._tenant_requests = self.metrics.counter(
-            "cast_service_tenant_requests_total",
-            "Solve requests by tenant",
-            labelnames=("tenant",),
-        )
         self._evaluator_events = self.metrics.counter(
             "cast_evaluator_events_total",
             "Incremental-evaluator cache counters, summed over solves",
             labelnames=("counter",),
         )
-        self._solve_seconds = self.metrics.histogram(
-            "cast_service_solve_seconds",
-            "End-to-end wall time of non-cached solves",
-        )
-        self._op_latency = self.metrics.histogram(
-            "cast_op_latency_seconds",
-            "Wire-level request latency by op",
-            labelnames=("op",),
-        )
-        self._op_requests = self.metrics.counter(
-            "cast_op_requests_total",
-            "Wire-level requests by op and outcome",
-            labelnames=("op", "outcome"),
-        )
         self.sessions = SessionManager(registry=self.metrics)
-        self.cache.bind_metrics(self.metrics)
         self.pool.bind_metrics(self.metrics)
         register_sim_cache_metrics(self.metrics)
         register_fastpath_metrics(self.metrics)
-
-        self.recorder = FlightRecorder(
-            capacity=flight_capacity, exemplars=flight_exemplars
-        )
-        self.recorder.bind_metrics(self.metrics)
-        self.dump_dir = dump_dir
-        self.slo_eval_interval_s = float(slo_eval_interval_s)
-        self.slo = SLOEngine(
-            slo_objectives, policy=slo_policy, clock=slo_clock
-        )
-        self.slo.bind_metrics(self.metrics)
-        self.slo.on_transition(self._on_slo_transition)
-        self._slo_task: Optional["asyncio.Task[None]"] = None
         self._reset_stats()
 
     def _reset_stats(self) -> None:
         """Zero the uptime clock and every service counter.
 
-        One reset path shared by ``__init__`` and :meth:`start` (which
-        used to each stamp ``_started_at`` by hand).  Registry reset
-        clears the service-owned series; the mirrored caches/pool keep
-        their own ints and simply re-publish on the next exposition.
+        Registry reset clears the service-owned series; the mirrored
+        caches/pool keep their own ints and simply re-publish on the
+        next exposition.
         """
-        self._started_at = time.monotonic()
+        super()._reset_stats()
         self.metrics.reset()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._reset_stats()
-        if self.slo_eval_interval_s > 0:
-            self._slo_task = asyncio.create_task(self._slo_loop())
-        logger.info("planner daemon listening on %s:%d", self.host, self.port)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — port resolved after :meth:`start`."""
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled or :meth:`stop`-ped."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain solves, close the pool."""
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            try:
-                await self._slo_task
-            except asyncio.CancelledError:
-                pass
-            self._slo_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._inflight:
-            await asyncio.gather(
-                *list(self._inflight.values()), return_exceptions=True
-            )
-        for writer in list(self._connections):
-            writer.close()
+        await super().stop()
         self.pool.shutdown(wait=True)
-        logger.info("planner daemon stopped")
 
-    # -- connection handling ---------------------------------------------------
+    @property
+    def default_restarts(self) -> int:
+        """Restarts of a solve that doesn't name a count: the pool's."""
+        return self.pool.restarts
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await read_message(reader)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                self._requests_total.inc()
-                try:
-                    request = parse_request(line)
-                except ProtocolError as exc:
-                    # Malformed input answers a typed error on the same
-                    # connection; the line framing is still intact, so
-                    # the session continues.
-                    self._events.inc(event="bad_requests")
-                    logger.debug("bad request line: %s", exc)
-                    await send_message(writer, error_response(None, exc))
-                    continue
-                response = await self._dispatch(request)
-                await send_message(writer, response)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this handler mid-read; the
-            # socket closes below — nothing to propagate to the loop.
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+    # -- ops -----------------------------------------------------------------
 
-    async def _dispatch(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        req_id = request.get("id")
-        params = request["params"]
-        self._ops.inc(op=op)
-        with span("service.request", attrs={"op": op}) as sp:
-            started = time.monotonic()
-            try:
-                response = await self._dispatch_inner(op, req_id, params)
-            except asyncio.CancelledError:
-                raise
-            except CastError as exc:
-                response = error_response(req_id, exc)
-            except Exception as exc:  # daemon must outlive any one request
-                self._events.inc(event="solve_errors")
-                logger.exception("internal error handling op %r", op)
-                response = error_response(
-                    req_id, ServiceError(f"internal error: {exc!r}")
-                )
-            response["trace_id"] = sp.trace_id
-            self._record_request(
-                op, params, response, time.monotonic() - started, sp.trace_id
-            )
-            return response
+    async def _op_session_open(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.open(params)
 
-    def _record_request(
-        self,
-        op: str,
-        params: Mapping[str, Any],
-        response: Mapping[str, Any],
-        latency_s: float,
-        trace_id: Optional[str],
-    ) -> None:
-        """Per-op latency/outcome metrics + one flight-recorder record."""
-        ok = bool(response.get("ok"))
-        self._op_latency.observe(latency_s, op=op)
-        self._op_requests.inc(op=op, outcome="ok" if ok else "error")
-        if op in _UNRECORDED_OPS:
+    async def _op_session_delta(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.delta(params)
+
+    async def _op_session_close(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.close(params)
+
+    def _admit(self, op: str) -> None:
+        """Shed a new pool solve once ``max_inflight + max_queue`` are admitted."""
+        if op in _THREAD_OPS or self._admitted < self.max_inflight + self.max_queue:
             return
-        error = None
-        if not ok:
-            error = str(response.get("error", {}).get("type", "error"))
-        tenant = params.get("tenant")
-        self.recorder.record(
-            op=op,
-            latency_s=latency_s,
-            ok=ok,
-            cached=bool(response.get("cached", False)),
-            tenant=str(tenant) if tenant is not None else None,
-            error=error,
-            trace_id=trace_id,
-        )
-
-    async def _dispatch_inner(
-        self, op: str, req_id: Any, params: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(req_id, {"pong": True, "uptime_s": self.uptime_s})
-        if op == "stats":
-            return ok_response(req_id, self.stats())
-        if op == "metrics":
-            return ok_response(req_id, self._metrics_op(params))
-        if op == "slo":
-            return ok_response(req_id, self._slo_op(params))
-        if op == "profile":
-            return ok_response(req_id, await self._profile_op(params))
-        if op == "debug_dump":
-            return ok_response(req_id, self._debug_dump_op(params))
-        if op == "catalog":
-            return ok_response(req_id, self._catalog(params))
-        if op in ("register", "deregister"):
-            raise ProtocolError(
-                f"op {op!r} is served by the fleet router, not a planner "
-                f"shard — point the registration at 'cast-plan fleet'"
-            )
-        if op == "whatif":
-            result, cached = await self._whatif_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "sweep":
-            result, cached = await self._sweep_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "session_open":
-            return ok_response(req_id, await self.sessions.open(params))
-        if op == "session_delta":
-            return ok_response(req_id, await self.sessions.delta(params))
-        if op == "session_close":
-            return ok_response(req_id, await self.sessions.close(params))
-        result, cached = await self._solve_op(op, params)
-        return ok_response(req_id, result, cached=cached)
-
-    # -- ops -------------------------------------------------------------------
-
-    def _catalog(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        provider = resolve_provider(str(params.get("provider", "google")))
-        tiers = []
-        for tier in provider.tiers:
-            svc = provider.service(tier)
-            tiers.append(
-                {
-                    "tier": tier.value,
-                    "persistent": bool(svc.persistent),
-                    "price_gb_month": svc.price_gb_month,
-                    "price_gb_hr": provider.storage_price_gb_hr(tier),
-                }
-            )
-        return {
-            "provider": provider.name,
-            "tiers": tiers,
-            "vm": {
-                "name": provider.default_vm.name,
-                "price_per_hour_usd": provider.prices.vm_price_per_min * 60,
-            },
-        }
-
-    def _metrics_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``metrics`` op: the registry in Prometheus text or JSON.
-
-        The JSON exposition carries the flight recorder's slowest-K
-        exemplars on each per-op latency series — a p99 spike arrives
-        with trace ids attached.
-        """
-        fmt = str(params.get("format", "prometheus")).lower()
-        if fmt == "prometheus":
-            return {"format": "prometheus", "body": self.metrics.to_prometheus()}
-        if fmt == "json":
-            return {
-                "format": "json",
-                "metrics": self.recorder.attach_exemplars(
-                    self.metrics.to_json()
-                ),
-            }
-        raise ProtocolError(
-            f"unknown metrics format {fmt!r} (expected 'prometheus' or 'json')"
-        )
-
-    # -- operational ops -------------------------------------------------------
-
-    def _slo_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``slo`` op: evaluate the engine on a fresh snapshot.
-
-        Transitions fire synchronously here (the same path the
-        background tick uses), so a ``page`` entered during this very
-        evaluation has already written its dump by the time the
-        response leaves.
-        """
-        return self.slo.evaluate(registry=self.metrics)
-
-    async def _profile_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``profile`` op: sample this process, return the profile."""
-        try:
-            duration_s = float(params.get("duration_s", 1.0))
-            interval_s = float(params.get("interval_s", 0.005))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad profile params: {exc}") from None
-        if not 0.0 < duration_s <= _MAX_PROFILE_S:
-            raise ProtocolError(
-                f"profile duration_s must be in (0, {_MAX_PROFILE_S:g}], "
-                f"got {duration_s}"
-            )
-        if interval_s <= 0:
-            raise ProtocolError(
-                f"profile interval_s must be > 0, got {interval_s}"
-            )
-        profiler = SamplingProfiler(interval_s=interval_s)
-        # The sampler sleeps for the whole duration — park it on a
-        # worker thread so the event loop keeps serving (and shows up
-        # in its own samples).
-        return await asyncio.to_thread(profiler.run_for, duration_s)
-
-    def _debug_dump_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``debug_dump`` op: one postmortem bundle, over the wire."""
-        return self._build_bundle(reason=str(params.get("reason", "request")))
-
-    def _build_bundle(self, reason: str) -> Dict[str, Any]:
-        return build_bundle(
-            registry=self.metrics,
-            recorder=self.recorder,
-            slo_report=self.slo.last_report,
-            config=self._config_payload(),
-            reason=reason,
-        )
-
-    def _config_payload(self) -> Dict[str, Any]:
-        return {
-            "role": "server",
-            "host": self.host,
-            "port": self.port,
-            "limits": {
-                "max_inflight": self.max_inflight,
-                "max_queue": self.max_queue,
-                "request_timeout_s": self.request_timeout_s,
-            },
-            "pool": {
-                "processes": self.pool.processes,
-                "restarts": self.pool.restarts,
-            },
-            "cache_capacity": self.cache.capacity,
-            "slo": self.slo.config(),
-            "dump_dir": self.dump_dir,
-        }
-
-    def _on_slo_transition(self, edge: Transition) -> None:
-        """Engine callback: auto-dump a bundle on every page entry."""
+        self._events.inc(event="rejected")
         logger.warning(
-            "SLO %s: %s -> %s", edge.op, edge.old, edge.new
+            "shedding %s request: %d solves admitted "
+            "(limit %d inflight + %d queued)",
+            op, self._admitted, self.max_inflight, self.max_queue,
         )
-        if edge.new != "page":
-            return
-        path = self._write_dump(reason=f"page-{edge.op}")
-        if path is not None:
-            logger.warning("SLO page on %s: wrote debug dump %s", edge.op, path)
-
-    def _write_dump(self, reason: str) -> Optional[str]:
-        """Write one bundle into ``dump_dir`` (None = dumping disabled)."""
-        if not self.dump_dir:
-            return None
-        try:
-            os.makedirs(self.dump_dir, exist_ok=True)
-            stamp = int(time.time() * 1000)
-            path = os.path.join(
-                self.dump_dir, f"castdump-{stamp}-{reason}.jsonl"
-            )
-            dump_bundle(path, self._build_bundle(reason=reason))
-            self._events.inc(event="debug_dumps")
-            return path
-        except OSError:
-            logger.exception("failed to write debug dump; continuing")
-            return None
-
-    async def _slo_loop(self) -> None:
-        """Background tick: evaluate the SLO engine even when idle —
-        states must decay back to ``ok`` without traffic forcing an
-        evaluation."""
-        while True:
-            await asyncio.sleep(self.slo_eval_interval_s)
-            try:
-                self.slo.evaluate(registry=self.metrics)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("SLO evaluation failed; continuing")
-
-    async def _solve_op(
-        self, op: str, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        normalized = _normalize_solve_params(op, params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        restarts = normalized.pop("restarts") or self.pool.restarts
-        fingerprint = request_fingerprint(
-            op,
-            normalized["spec"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            restarts=restarts,
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
+        raise ServiceBusyError(
+            f"server at capacity ({self._admitted} solves admitted, "
+            f"limit {self.max_inflight} inflight + {self.max_queue} queued)"
         )
 
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            # Re-stamp with *this* request's trace id — the cached dict
-            # remembers the trace that originally solved it.
-            return dict(
-                cached,
-                fingerprint=fingerprint,
-                trace_id=current_trace_id(),
-            ), True
+    async def _run_leader(
+        self, op: str, normalized: Dict[str, Any], fingerprint: str
+    ) -> Dict[str, Any]:
+        """A pool solve, or a whatif/sweep on a worker thread — a
+        simulation pass or a sweep engine with its own process fan-out,
+        so the loop stays live and the pool stays free for solves."""
+        if op not in _THREAD_OPS:
+            return await self._solve(op, normalized)
+        fn, seconds_key, event = _THREAD_OPS[op]
+        started = time.monotonic()
+        with span(f"service.{op}") as op_span:
+            result = dict(await asyncio.to_thread(fn, normalized))
+        result[seconds_key] = time.monotonic() - started
+        result["trace_id"] = op_span.trace_id
+        self._events.inc(event=event)
+        return result
 
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            # Single-flight: identical request already solving — await it.
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        if self._admitted >= self.max_inflight + self.max_queue:
-            self._events.inc(event="rejected")
-            logger.warning(
-                "shedding %s request: %d solves admitted "
-                "(limit %d inflight + %d queued)",
-                op, self._admitted, self.max_inflight, self.max_queue,
-            )
-            raise ServiceBusyError(
-                f"server at capacity ({self._admitted} solves admitted, "
-                f"limit {self.max_inflight} inflight + {self.max_queue} queued)"
-            )
-
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
+    async def _solve(self, op: str, normalized: Dict[str, Any]) -> Dict[str, Any]:
+        """Multi-start solve on the pool, under the per-request timeout."""
+        request = {
+            k: v for k, v in normalized.items() if k not in ("tenant", "restarts")
+        }
+        restarts = normalized.get("restarts", self.default_restarts)
         self._admitted += 1
         try:
             async with self._solve_sem:
                 started = time.monotonic()
                 with span(
-                    "service.solve",
-                    attrs={"op": op, "restarts": restarts},
+                    "service.solve", attrs={"op": op, "restarts": restarts}
                 ) as solve_span:
                     try:
                         result = await asyncio.wait_for(
-                            self._run_solver(normalized, restarts),
+                            self._run_solver(request, restarts),
                             timeout=self.request_timeout_s,
                         )
                     except asyncio.TimeoutError:
@@ -845,160 +350,19 @@ class PlannerServer:
                         raise ServiceTimeoutError(
                             f"solve exceeded {self.request_timeout_s:.0f}s deadline"
                         ) from None
-            elapsed = time.monotonic() - started
-            result = dict(result)
-            result["solve_seconds"] = elapsed
-            result["trace_id"] = solve_span.trace_id
-            self._solve_seconds.observe(elapsed)
-            self._events.inc(event="solves_ok")
-            ev = result.get("evaluator")
-            if isinstance(ev, dict):
-                for key, value in ev.items():
-                    self._evaluator_events.inc(int(value), counter=key)
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            # The dedup waiters consume the exception; don't warn when
-            # nobody else was waiting.
-            future.exception()
-            raise
         finally:
             self._admitted -= 1
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
-
-    async def _whatif_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """The ``whatif`` op: measure a fixed tiering, cached + deduped.
-
-        Same fingerprint-keyed cache and single-flight as the solve
-        ops, but no admission control or pool involvement — a whatif
-        is one simulation pass, cheap enough to run on a worker thread
-        while the loop stays live.
-        """
-        normalized = _normalize_whatif_params(params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        fingerprint = whatif_fingerprint(
-            normalized["spec"],
-            plan=normalized["plan"],
-            tier=normalized["tier"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            fast=normalized["fast"],
-        )
-
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
-        try:
-            started = time.monotonic()
-            with span(
-                "service.whatif", attrs={"fast": normalized["fast"]}
-            ) as whatif_span:
-                result = await asyncio.to_thread(_run_whatif, normalized)
-            result = dict(result)
-            result["measure_seconds"] = time.monotonic() - started
-            result["trace_id"] = whatif_span.trace_id
-            self._events.inc(event="whatifs_ok")
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
-
-    async def _sweep_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """The ``sweep`` op: a cross-catalog grid, cached + deduped.
-
-        Same fingerprint-keyed cache and single-flight as ``whatif``.
-        The engine owns its own process-pool fan-out (the ``workers``
-        knob), so the whole sweep runs as one worker-thread unit and
-        the server's solver pool stays free for interactive solves.
-        """
-        normalized = _normalize_sweep_params(params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        fingerprint = sweep_fingerprint(
-            normalized["specs"],
-            normalized["providers"],
-            reps=normalized["reps"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-            warm=normalized["warm"],
-        )
-
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
-        try:
-            started = time.monotonic()
-            with span(
-                "service.sweep",
-                attrs={
-                    "catalogs": len(normalized["providers"]),
-                    "workloads": len(normalized["specs"]),
-                },
-            ) as sweep_span:
-                result = await asyncio.to_thread(_run_sweep, normalized)
-            result = dict(result)
-            result["sweep_seconds"] = time.monotonic() - started
-            result["trace_id"] = sweep_span.trace_id
-            self._events.inc(event="sweeps_ok")
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
+        elapsed = time.monotonic() - started
+        result = dict(result)
+        result["solve_seconds"] = elapsed
+        result["trace_id"] = solve_span.trace_id
+        self._solve_seconds.observe(elapsed)
+        self._events.inc(event="solves_ok")
+        ev = result.get("evaluator")
+        if isinstance(ev, dict):
+            for key, value in ev.items():
+                self._evaluator_events.inc(int(value), counter=key)
+        return result
 
     async def _run_solver(
         self, request: Dict[str, Any], restarts: int
@@ -1008,11 +372,6 @@ class PlannerServer:
         return await self.pool.solve(request, restarts=restarts)
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start`."""
-        return time.monotonic() - self._started_at
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -1027,13 +386,6 @@ class PlannerServer:
         return out
 
     @property
-    def op_counts(self) -> Dict[str, int]:
-        """Requests per op, derived from ``cast_service_ops_total``."""
-        return {
-            labels["op"]: int(value) for labels, value in self._ops.samples()
-        }
-
-    @property
     def evaluator_totals(self) -> Dict[str, int]:
         """Incremental-evaluator cache counters, summed over every solve
         this server completed (cache hits/misses, jobs skipped, ...)."""
@@ -1042,22 +394,22 @@ class PlannerServer:
             for labels, value in self._evaluator_events.samples()
         }
 
+    def _limits(self) -> Dict[str, Any]:
+        return {
+            "max_inflight": self.max_inflight,
+            "max_queue": self.max_queue,
+            "request_timeout_s": self.request_timeout_s,
+        }
+
+    def _config_payload(self) -> Dict[str, Any]:
+        pool = {"processes": self.pool.processes, "restarts": self.pool.restarts}
+        return dict(super()._config_payload(), pool=pool)
+
     def stats(self) -> Dict[str, Any]:
         """The ``stats`` op payload."""
-        return {
-            "uptime_s": self.uptime_s,
-            "requests": self.op_counts,
-            "counters": self.counters,
-            "evaluator": self.evaluator_totals,
-            "cache": self.cache.stats(),
-            "pool": self.pool.stats(),
-            "sessions": self.sessions.stats(),
-            "flight_recorder": self.recorder.stats(),
-            "slo": self.slo.states,
-            "inflight": len(self._inflight),
-            "limits": {
-                "max_inflight": self.max_inflight,
-                "max_queue": self.max_queue,
-                "request_timeout_s": self.request_timeout_s,
-            },
-        }
+        return dict(
+            super().stats(),
+            evaluator=self.evaluator_totals,
+            pool=self.pool.stats(),
+            sessions=self.sessions.stats(),
+        )
