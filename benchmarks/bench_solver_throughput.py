@@ -74,7 +74,9 @@ from repro.profiler.profiler import build_model_matrix
 from repro.workloads.swim import synthesize_small_workload
 
 #: (n_jobs, iter_max) per workload size; --quick keeps only the first.
-SIZES = ((10, 1500), (25, 2000), (50, 3000))
+#: The last is the streaming session's full re-solve (400 resident
+#: jobs, 500 iterations), where per-step cost independent of N shows.
+SIZES = ((10, 1500), (25, 2000), (50, 3000), (400, 500))
 WORKLOAD_SEED = 11
 SOLVER_SEED = 7
 

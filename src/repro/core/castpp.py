@@ -258,15 +258,16 @@ class CastPlusPlus(CastSolver):
     def initial_plan(self, workload: WorkloadSpec) -> TieringPlan:
         """Greedy seed with Constraint 7 repaired (sets co-placed)."""
         plan = super().initial_plan(workload)
-        for rs in workload.reuse_sets:
-            members = sorted(rs.job_ids)
-            anchor_tier = plan.tier_of(members[0])
-            for jid in members[1:]:
-                p = plan.placement(jid)
-                plan = plan.with_placement(
-                    jid, Placement(tier=anchor_tier, capacity_gb=p.capacity_gb)
-                )
-        return plan
+        placements = plan.placements
+        changes = [
+            (jid, Placement(
+                tier=placements[entry.members[0]].tier,
+                capacity_gb=placements[jid].capacity_gb,
+            ))
+            for entry in workload.reuse_table
+            for jid in entry.members[1:]
+        ]
+        return plan.with_placements(changes) if changes else plan
 
     # -- Enhancement 2: workflow awareness ----------------------------------
 

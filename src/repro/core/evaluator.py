@@ -4,34 +4,47 @@ Algorithm 2 evaluates ``iter_max`` neighbor plans per solve, and the
 naive :func:`~repro.core.utility.evaluate_plan` re-validates the plan
 and re-runs :func:`~repro.core.perf_model.estimate_job` for all N jobs
 even though a neighbor move touches one job (or one app class).
-:class:`PlanEvaluator` removes that O(N·iter) rescan:
+:class:`PlanEvaluator` makes a step cost what the move touched:
 
 * **Tier-level invalidation.**  A move changes the aggregate capacity
   of at most a handful of services; only jobs on those services can see
   a different per-VM capacity (capacity coupling, Eq. 4), so only they
   are candidates for re-estimation.  Everything else keeps its cached
-  :class:`~repro.core.perf_model.JobEstimate`.
+  runtime.
 * **Bandwidth-keyed estimate memoization.**  A job estimate depends on
   capacity only through the 1 GB-quantized bandwidth lookup
   (:func:`~repro.profiler.models.quantize_capacity` is shared with
   :class:`~repro.profiler.models.ModelMatrix`), so estimates are
   memoized on ``(job, phase-bandwidth identity)``: every
-  ``(tier, quantized capacity)`` pair maps to an interned id for the
+  ``(app, tier, quantized capacity)`` maps to an interned id for the
   bandwidth *values* it produces.  Capacity-insensitive and saturated
   profiles collapse to a single id — capacity churn on those tiers
   invalidates nothing — and the memo stays *exact* by construction.
+  All jobs of one app on one tier share that id, so when a tier's
+  quantized capacity moves, a ``(tier, app)`` group whose id did not
+  change is skipped whole, and its members are visited only when it
+  did.
 * **Static term precomputation.**  The capacity-independent pieces of
   Eq. 1 (wave counts × per-task MB, ephSSD staging seconds) are
   computed once per job at construction; a memo miss costs three
   divisions by the phase bandwidths, not a full ``estimate_job``.
-* **Canonical-order summation.**  Makespan, per-tier aggregates and
-  billed capacities are re-summed from cached per-job components in
-  exactly the order the naive path sums them (workload order for
-  makespan/billed, plan order for aggregates), then finished through
-  the shared :func:`~repro.core.utility.finalize_plan_metrics` tail —
-  so the incremental utility is **bit-identical** to the naive one, not
-  merely close.  The parity test suite and the CI benchmark smoke
-  enforce this.
+* **Column state.**  The base plan lives in float64 columns over job
+  *slots* (workload order): per service a capacity column (0.0 for
+  jobs elsewhere), per billed service a contribution column (one entry
+  per job and contribution position), and one runtime column.  A move
+  copies and patches only the columns of the services it touched, so
+  the Python-level work of a step is O(|move| + tiers × apps); the
+  O(N) part is a C loop.
+* **Canonical-order summation.**  Each sum the naive path takes with a
+  ``+=`` loop is taken here with :func:`~repro.core.utility.seq_sum`
+  over a column laid out in the same order (plan order for aggregates,
+  workload order × contribution position for billed capacities,
+  workload order for the makespan).  Off-member entries hold 0.0, and
+  adding 0.0 leaves a non-negative running sum unchanged, so every sum
+  — and, through the shared
+  :func:`~repro.core.utility.finalize_plan_metrics` tail, the utility —
+  is **bit-identical** to the naive one, not merely close.  The parity
+  test suite and the CI benchmark smokes enforce this.
 
 Protocol (consumed by :func:`~repro.core.annealing.simulated_annealing`
 when the neighbor function supplies moves):
@@ -48,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +75,7 @@ from ..workloads.spec import WorkloadSpec
 from .cost import CostBreakdown
 from .perf_model import JobEstimate, _effective_waves, staging_seconds
 from .plan import Placement, TieringPlan
-from .utility import PlanEvaluation, finalize_plan_metrics
+from .utility import PlanEvaluation, finalize_plan_metrics, seq_sum
 
 __all__ = ["PlanMove", "PlanEvaluator"]
 
@@ -81,25 +94,51 @@ class PlanMove:
 
 
 class _BaseState:
-    """Cached full evaluation of one plan (the evaluator's base)."""
+    """The evaluator's base plan, held as columns over job slots.
+
+    Slots follow workload order.  A job that departs (streaming deltas)
+    leaves a tombstone — 0.0 in every column, ``None`` in
+    ``slot_tier`` — and arrivals append, so slot order stays workload
+    order.  Columns may be longer than ``used``; the tail is zeros.
+    Tombstones are squeezed out when the columns fill up.
+    """
 
     __slots__ = (
-        "plan", "pos", "members", "agg", "pvc", "qpvc",
-        "estimates", "est_key", "totals", "contribs",
+        "plan", "slot", "slot_tier", "used", "perm",
+        "count", "cap", "agg", "qpvc", "first",
+        "groups", "gid", "tot", "raw_makespan",
+        "bcol", "bsum", "border",
         "utility", "makespan_s", "cost", "billed", "evaluation",
     )
 
     def __init__(self) -> None:
         self.plan: Optional[TieringPlan] = None
-        self.pos: Dict[str, int] = {}
-        self.members: Dict[Tier, List[str]] = {}
+        #: Job id -> slot; each slot's tier (``None``: tombstone).
+        self.slot: Dict[str, int] = {}
+        self.slot_tier: List[Optional[Tier]] = []
+        self.used = 0
+        #: Live slots in plan order, or ``None`` when that is slot order.
+        self.perm: Optional[np.ndarray] = None
+        #: Per service: member count and capacity column; for services
+        #: with members, the aggregate, the quantized per-VM capacity
+        #: and the first member's slot.
+        self.count: Dict[Tier, int] = {}
+        self.cap: Dict[Tier, np.ndarray] = {}
         self.agg: Dict[Tier, float] = {}
-        self.pvc: Dict[Tier, float] = {}
         self.qpvc: Dict[Tier, float] = {}
-        self.estimates: Dict[str, JobEstimate] = {}
-        self.est_key: Dict[str, int] = {}
-        self.totals: List[float] = []
-        self.contribs: List[Tuple[Tuple[Tier, float], ...]] = []
+        self.first: Dict[Tier, int] = {}
+        #: tier -> app -> member ids, and the bandwidth id all members
+        #: of a (tier, app) group are keyed by.
+        self.groups: Dict[Tier, Dict[str, Dict[str, None]]] = {}
+        self.gid: Dict[Tuple[Tier, str], int] = {}
+        #: Per-slot runtime seconds and their canonical sum.
+        self.tot: np.ndarray = np.zeros(0)
+        self.raw_makespan = 0.0
+        #: Per billed service: contribution column and its sum; the
+        #: billed services present, in first-contribution order.
+        self.bcol: Dict[Tier, np.ndarray] = {}
+        self.bsum: Dict[Tier, float] = {}
+        self.border: Tuple[Tier, ...] = ()
         self.utility: float = float("nan")
         self.makespan_s: float = float("nan")
         self.cost: Optional[CostBreakdown] = None
@@ -107,29 +146,24 @@ class _BaseState:
         self.evaluation: Optional[PlanEvaluation] = None
 
 
+class _TierState(NamedTuple):
+    """One service after a proposal; the last three are ``None`` when
+    the move leaves it without members."""
+
+    count: int
+    cap: np.ndarray
+    agg: Optional[float]
+    qpvc: Optional[float]
+    first: Optional[int]
+
+
 class _Pending:
-    """An uncommitted proposal: overlays over the base state."""
+    """An uncommitted proposal: the columns and scalars it would change."""
 
     __slots__ = (
-        "plan", "members", "agg", "pvc", "qpvc",
-        "key_overlay", "totals", "contrib_overlay",
-        "utility", "makespan_s", "cost", "billed",
+        "plan", "moves", "tiers", "gid", "tot", "raw_makespan",
+        "bcol", "bsum", "border", "utility", "makespan_s", "cost", "billed",
     )
-
-
-class _StagingView:
-    """Minimal ``est_of`` view for the reuse pass of finalize.
-
-    The reuse economics read exactly one estimate field —
-    ``download_s`` — which is capacity-independent (objStore staging),
-    so the incremental path serves it from the static terms instead of
-    materializing whole :class:`JobEstimate` objects.
-    """
-
-    __slots__ = ("download_s",)
-
-    def __init__(self, download_s: float) -> None:
-        self.download_s = download_s
 
 
 class PlanEvaluator:
@@ -161,9 +195,8 @@ class PlanEvaluator:
         #: keep validated placements, arrivals get exact-fit seeds) and
         #: the O(N) re-validation would dominate millisecond re-plans.
         self.validate_resets = True
-        self._jobs = list(workload.jobs)
+        self._jobs = workload.jobs
         self._job_by_id = {j.job_id: j for j in self._jobs}
-        self._job_idx = {j.job_id: i for i, j in enumerate(self._jobs)}
         self._footprint: Dict[str, float] = {}
         # Capacity-independent Eq. 1 terms, once per job: (app name,
         # waves×MB per phase, ephSSD staging seconds).  ``map_s`` in
@@ -175,6 +208,10 @@ class PlanEvaluator:
         self._job_gb: Dict[str, Tuple[float, float]] = {}
         for job in self._jobs:
             self._register_job(job)
+        # The reuse economics read ephSSD download seconds, which are
+        # capacity-independent: serve them from the static terms.
+        static = self._static
+        self._download_of = lambda jid: static[jid][4]
         # Interned bandwidth identities: (app, tier, qpvc) -> id, with
         # ids shared between lookups that produce equal bandwidth
         # values on the same tier (flat and saturated profiles).
@@ -188,12 +225,14 @@ class PlanEvaluator:
         self._bw_tables: Dict[Tuple[str, Tier], Tuple] = {}
         # Per-tier constants on the hot paths: per-VM capacity clamp
         # and the billed-contribution tier relations.
+        self._tiers = tuple(provider.tiers)
         self._max_pvc: Dict[Tier, float] = {}
         self._tier_rel: Dict[Tier, Tuple[Optional[Tier], Optional[Tier]]] = {}
-        for tier in provider.tiers:
+        for tier in self._tiers:
             svc = provider.service(tier)
             self._max_pvc[tier] = svc.max_capacity_per_vm_gb()
             self._tier_rel[tier] = (svc.requires_intermediate, svc.requires_backing)
+        self._init_billed_layout()
         self._n_vms = cluster_spec.n_vms
         # Job ids removed by update_workload whose memo entries are
         # still resident; compacted once enough pile up.
@@ -213,6 +252,57 @@ class PlanEvaluator:
             "cache_misses": 0,
             "jobs_reestimated": 0,
             "jobs_skipped": 0,
+        }
+
+    def _init_billed_layout(self) -> None:
+        """Column layout of the billed contributions.
+
+        A job on tier ``X`` contributes the pairs of
+        :func:`~repro.core.plan.job_billed_contributions`: ``(helper,
+        inter)``, ``(X, own)``, ``(backing, io)``, as X's relations
+        have them.  Each billed tier ``T`` gets one column entry per job
+        and per pair position ``T`` can take (its *stride*), in pair
+        order, so a sequential sum over the column adds the same floats
+        in the same order as the naive per-job loop.  Two pairs of one
+        job never share an entry: folding them would change the
+        rounding.
+
+        A tier billed only for its own members' capacity (no helper
+        tier, no other tier's pairs land on it) would get a column equal
+        to its capacity column; it is billed from that column instead.
+        """
+        pair_tiers: Dict[Tier, Tuple[Tier, ...]] = {}
+        positions: Dict[Tier, List[int]] = {}
+        for tier in self._tiers:
+            ri, rb = self._tier_rel[tier]
+            pts = tuple(t for t in (ri, tier, rb) if t is not None)
+            pair_tiers[tier] = pts
+            for k, t in enumerate(pts):
+                if k not in positions.setdefault(t, []):
+                    positions[t].append(k)
+        for ks in positions.values():
+            ks.sort()
+        #: Billed tier -> (placement tier, pair position) of each source.
+        self._src: Dict[Tier, Tuple[Tuple[Tier, int], ...]] = {
+            t: tuple((x, pts.index(t)) for x, pts in pair_tiers.items() if t in pts)
+            for t in positions
+        }
+        #: Tiers billed straight from their capacity column.
+        self._own_billed = frozenset(
+            t for t, src in self._src.items()
+            if src == ((t, 0),) and self._tier_rel[t][0] is None
+        )
+        self._stride: Dict[Tier, int] = {
+            t: len(ks) for t, ks in positions.items() if t not in self._own_billed
+        }
+        #: Placement tier -> (pair position, billed tier, offset in the
+        #: job's stride) per contribution with a billed column.
+        self._layout: Dict[Tier, Tuple[Tuple[int, Tier, int], ...]] = {
+            x: tuple(
+                (k, t, positions[t].index(k))
+                for k, t in enumerate(pts) if t in self._stride
+            )
+            for x, pts in pair_tiers.items()
         }
 
     def _register_job(self, job) -> None:
@@ -248,6 +338,22 @@ class PlanEvaluator:
             job.intermediate_gb, job.input_gb + job.output_gb
         )
 
+    def _unregister_job(self, jid: str) -> None:
+        del self._static[jid]
+        del self._footprint[jid]
+        del self._job_gb[jid]
+        self._retired.add(jid)
+
+    def _admit_job(self, job) -> None:
+        """Register an arriving job, dropping stale memo entries of a
+        retired job that had the same id."""
+        jid = job.job_id
+        if jid in self._retired:
+            self._retired.discard(jid)
+            self._purge_job(jid)
+        self._register_job(job)
+        self._job_by_id[jid] = job
+
     def _purge_job(self, jid: str) -> None:
         """Drop a job's memo entries (re-admission of a retired id)."""
         for cache in (self._tot_cache, self._est_objs):
@@ -274,58 +380,40 @@ class PlanEvaluator:
 
         ``appended_only`` is a caller promise that the new workload is
         the old one with jobs *appended* (nothing removed, nothing
-        reordered): surviving indices are unchanged, so the id/index
-        maps update in O(new jobs) instead of O(N).  The prefix length
+        reordered), so only the new tail is examined.  The prefix length
         is checked; the per-id order is trusted — pass it only when the
         delta really was append-only (the session's ``add_jobs`` path).
         """
         old_by_id = self._job_by_id
-        new_jobs = list(workload.jobs)
+        new_jobs = workload.jobs
         if appended_only and len(new_jobs) >= len(self._jobs):
             appended = new_jobs[len(self._jobs):]
             if all(j.job_id not in old_by_id for j in appended):
-                base = len(self._jobs)
-                for off, job in enumerate(appended):
-                    jid = job.job_id
-                    if jid in self._retired:
-                        self._retired.discard(jid)
-                        self._purge_job(jid)
-                    self._register_job(job)
-                    old_by_id[jid] = job
-                    self._job_idx[jid] = base + off
-                self.workload = workload
-                self._jobs = new_jobs
-                self._base = _BaseState()
-                self._pending = None
+                for job in appended:
+                    self._admit_job(job)
+                self._rebased(workload)
                 return
         for job in new_jobs:
-            jid = job.job_id
-            old = old_by_id.get(jid)
-            if old is not None:
-                if old != job:
-                    raise PlanError(
-                        f"job {jid!r} changed spec across update_workload(); "
-                        "remove and re-add it under a fresh id"
-                    )
-                continue
-            if jid in self._retired:
-                self._retired.discard(jid)
-                self._purge_job(jid)
-            self._register_job(job)
+            old = old_by_id.get(job.job_id)
+            if old is None:
+                self._admit_job(job)
+            elif old != job:
+                raise PlanError(
+                    f"job {job.job_id!r} changed spec across update_workload(); "
+                    "remove and re-add it under a fresh id"
+                )
         new_ids = {j.job_id for j in new_jobs}
-        for jid in old_by_id:
-            if jid not in new_ids:
-                del self._static[jid]
-                del self._footprint[jid]
-                del self._job_gb[jid]
-                self._retired.add(jid)
+        for jid in [jid for jid in old_by_id if jid not in new_ids]:
+            self._unregister_job(jid)
+            del old_by_id[jid]
+        self._rebased(workload)
+        self._compact_retired()
+
+    def _rebased(self, workload: WorkloadSpec) -> None:
         self.workload = workload
-        self._jobs = new_jobs
-        self._job_by_id = {j.job_id: j for j in new_jobs}
-        self._job_idx = {j.job_id: i for i, j in enumerate(new_jobs)}
+        self._jobs = workload.jobs
         self._base = _BaseState()
         self._pending = None
-        self._compact_retired()
 
     def _compact_retired(self) -> None:
         if len(self._retired) >= self._COMPACT_RETIRED:
@@ -349,13 +437,14 @@ class PlanEvaluator:
 
         The streaming-session warm path: instead of invalidating the
         base and paying a full O(N) re-evaluation on the next
-        ``reset``, patch the existing base state in place — only the
-        arrived/departed jobs and the *contended tiers* (those whose
-        quantized per-VM capacity moved) are re-scored; every other
-        job keeps its exact cached total.  The final makespan/billed
-        sums and the finalize tail still run in canonical order over
-        the patched per-job components, so the resulting utility is
-        bit-identical to ``reset(plan)`` after ``update_workload``.
+        ``reset``, patch the base columns in place — departures become
+        tombstones, arrivals append, and only the *contended tiers*
+        (those whose quantized per-VM capacity moved) are re-keyed;
+        every other job keeps its exact cached runtime.  The makespan,
+        aggregate and billed sums and the finalize tail still run in
+        canonical order over the patched columns, so the resulting
+        utility is bit-identical to ``reset(plan)`` after
+        ``update_workload``.
 
         Caller contract (the session's ``_warm_plan`` guarantees it;
         violations would silently break parity, which the session's
@@ -381,151 +470,144 @@ class PlanEvaluator:
             raise PlanError(
                 "apply_workload_delta: plan does not cover the workload"
             )
-
-        # Old list indices of departing jobs, before the index map moves.
-        try:
-            removed_at = sorted(
-                (self._job_idx[jid] for jid in removed), reverse=True
-            )
-        except KeyError as exc:
-            raise PlanError(
-                f"removed job not in workload: {exc.args[0]!r}"
-            ) from None
-
+        slot = base.slot
         for jid in removed:
-            del self._static[jid]
-            del self._footprint[jid]
-            del self._job_gb[jid]
-            del self._job_by_id[jid]
-            self._retired.add(jid)
+            if jid not in slot:
+                raise PlanError(f"removed job not in workload: {jid!r}")
+        leaving = set(removed)
+        arriving: set = set()
         for job in added:
             jid = job.job_id
-            if jid in self._job_by_id:
+            if (jid in self._job_by_id and jid not in leaving) or jid in arriving:
                 raise PlanError(f"job {jid!r} already in workload")
-            if jid in self._retired:
-                self._retired.discard(jid)
-                self._purge_job(jid)
-            self._register_job(job)
-            self._job_by_id[jid] = job
-        self.workload = workload
-        self._jobs = list(workload.jobs)
-        if removed:
-            self._job_idx = {j.job_id: i for i, j in enumerate(self._jobs)}
-        else:
-            nbase = len(self._jobs) - len(added)
-            for off, job in enumerate(added):
-                self._job_idx[job.job_id] = nbase + off
-        job_idx = self._job_idx
+            arriving.add(jid)
 
-        # Patch the per-index component lists: C-level deletes keep the
-        # workload-order invariant; arrivals get placeholders below.
-        totals = base.totals
-        contribs = base.contribs
-        for i in removed_at:
-            del totals[i]
-            del contribs[i]
-        for _ in added:
-            totals.append(0.0)
-            contribs.append(())
-
-        # Membership / aggregates, re-summed for affected tiers only in
-        # plan order (removal preserves it; arrivals sit at plan end).
-        affected: set = set()
-        old_plan_pl = base.plan.placements
-        for jid in removed:
-            tier = old_plan_pl[jid].tier
-            affected.add(tier)
-            base.members[tier].remove(jid)
-            del base.pos[jid]
-            del base.est_key[jid]
-        if added:
-            nxt = (max(base.pos.values()) + 1) if base.pos else 0
-            for job in added:
-                jid = job.job_id
-                affected.add(placements[jid].tier)
-                base.members.setdefault(placements[jid].tier, []).append(jid)
-                base.pos[jid] = nxt
-                nxt += 1
-        old_qpvc = {t: base.qpvc.get(t) for t in affected}
-        for tier in affected:
-            ids = base.members.get(tier)
-            if not ids:
-                base.members.pop(tier, None)
-                base.agg.pop(tier, None)
-                base.pvc.pop(tier, None)
-                base.qpvc.pop(tier, None)
-                continue
-            agg = 0.0
-            for jid in ids:
-                agg += placements[jid].capacity_gb
-            base.agg[tier] = agg
-            base.pvc[tier] = self._per_vm(tier, agg)
-            base.qpvc[tier] = quantize_capacity(base.pvc[tier])
-
-        # Re-key contended tiers (quantized capacity moved) and
-        # arrivals; everything else keeps its exact cached total.
         static = self._static
-        est_key = base.est_key
+        layout, stride = self._layout, self._stride
+        groups, gid, first = base.groups, base.gid, base.first
+        # Touched tiers with their quantized capacity before the delta.
+        touched: Dict[Tier, Optional[float]] = {}
+        billed_touched: set = set()
+
+        # Departures: tombstone the slot in every column.
+        old_pl = base.plan.placements
+        dead: List[int] = []
+        refirst: Dict[Tier, int] = {}
+        for jid in removed:
+            s = slot.pop(jid)
+            tier = old_pl[jid].tier
+            touched.setdefault(tier, base.qpvc.get(tier))
+            self._leave_group(base, jid, tier)
+            base.count[tier] -= 1
+            base.cap[tier][s] = 0.0
+            base.tot[s] = 0.0
+            for _, bt, off in layout[tier]:
+                base.bcol[bt][s * stride[bt] + off] = 0.0
+                billed_touched.add(bt)
+            base.slot_tier[s] = None
+            if first.get(tier) == s:
+                refirst[tier] = s
+            dead.append(s)
+            del self._job_by_id[jid]
+            self._unregister_job(jid)
+        for tier, s in refirst.items():
+            f = _next_member(base.slot_tier, tier, s + 1)
+            if f is None:
+                del first[tier]
+            else:
+                first[tier] = f
+        if dead and base.perm is not None:
+            base.perm = base.perm[~np.isin(base.perm, dead)]
+
+        # Arrivals: append slots (re-laying the columns when full).
+        if base.used + len(added) > len(base.tot):
+            self._relayout(base, 2 * (len(slot) + len(added)))
+        new_slots: List[int] = []
+        for job in added:
+            jid = job.job_id
+            self._admit_job(job)
+            p = placements[jid]
+            tier = p.tier
+            touched.setdefault(tier, base.qpvc.get(tier))
+            s = base.used
+            base.used += 1
+            slot[jid] = s
+            base.slot_tier.append(tier)
+            base.cap[tier][s] = p.capacity_gb
+            base.count[tier] += 1
+            if tier not in first:
+                first[tier] = s
+            groups[tier].setdefault(static[jid][0], {})[jid] = None
+            vals = self._bill_values(jid, tier, p.capacity_gb)
+            for k, bt, off in layout[tier]:
+                base.bcol[bt][s * stride[bt] + off] = vals[k]
+                billed_touched.add(bt)
+            new_slots.append(s)
+        if new_slots and base.perm is not None:
+            base.perm = np.concatenate(
+                (base.perm, np.asarray(new_slots, dtype=np.intp))
+            )
+        self.workload = workload
+        self._jobs = workload.jobs
+
+        for tier in touched:
+            if base.count[tier]:
+                self._set_aggregate(base, tier, base.cap[tier])
+            else:
+                for d in (base.agg, base.qpvc):
+                    d.pop(tier, None)
+
+        # Re-key groups on contended tiers whose bandwidth id moved,
+        # then key the arrivals that pass left alone.
         bw_ids = self._bw_ids
         tot_cache = self._tot_cache
-        reestimated = 0
-        for tier in affected:
+        keyed: set = set()
+        for tier, old_qp in touched.items():
             qp = base.qpvc.get(tier)
-            if qp is None or qp == old_qpvc[tier]:
+            if qp is None or qp == old_qp:
                 continue
-            app_bid: Dict[str, int] = {}
-            for jid in base.members[tier]:
-                app = static[jid][0]
-                bid = app_bid.get(app)
+            for app, members in groups[tier].items():
+                bid = bw_ids.get((app, tier, qp))
                 if bid is None:
-                    bid = bw_ids.get((app, tier, qp))
-                    if bid is None:
-                        bid = self._bw_id(app, tier, qp)
-                    app_bid[app] = bid
-                if est_key.get(jid) == bid:
+                    bid = self._bw_id(app, tier, qp)
+                if bid == gid.get((tier, app)):
                     continue
-                tot = tot_cache.get((jid, bid))
-                if tot is None:
-                    tot = self._tot(jid, tier, bid)
-                totals[job_idx[jid]] = tot
-                est_key[jid] = bid
-                reestimated += 1
+                gid[(tier, app)] = bid
+                for jid in members:
+                    tot = tot_cache.get((jid, bid))
+                    if tot is None:
+                        tot = self._tot(jid, tier, bid)
+                    s = slot[jid]
+                    base.tot[s] = tot
+                    keyed.add(s)
         for job in added:
             jid = job.job_id
-            p = placements[jid]
-            contribs[job_idx[jid]] = self._contribs(jid, p)
-            if jid in est_key:
-                continue  # keyed by the contended-tier pass above
-            tier = p.tier
-            qp = base.qpvc[tier]
-            bid = bw_ids.get((static[jid][0], tier, qp))
+            s = slot[jid]
+            if s in keyed:
+                continue
+            keyed.add(s)
+            tier = placements[jid].tier
+            key = (tier, static[jid][0])
+            bid = gid.get(key)
             if bid is None:
-                bid = self._bw_id(static[jid][0], tier, qp)
+                bid = self._bw_id(key[1], tier, base.qpvc[tier])
+                gid[key] = bid
             tot = tot_cache.get((jid, bid))
             if tot is None:
                 tot = self._tot(jid, tier, bid)
-            totals[job_idx[jid]] = tot
-            est_key[jid] = bid
-            reestimated += 1
+            base.tot[s] = tot
 
-        # Canonical re-summation (workload order) + shared finalize
-        # tail — the same accumulation _full_state performs.
-        makespan_s = sum(totals)
-        billed: Dict[Tier, float] = {}
-        for pairs in contribs:
-            for tier, gb in pairs:
-                billed[tier] = billed.get(tier, 0.0) + gb
-        if self.reuse_aware:
-
-            def est_of(jid: str) -> _StagingView:
-                return _StagingView(
-                    static[jid][4]
-                    if placements[jid].tier is Tier.EPH_SSD else 0.0
-                )
-        else:
-            est_of = None  # type: ignore[assignment]  # never called
+        # Canonical re-summation + shared finalize tail — the same
+        # accumulation _full_state performs.
+        base.raw_makespan = seq_sum(base.tot[:base.used])
+        for bt in billed_touched:
+            base.bsum[bt] = seq_sum(base.bcol[bt][:base.used * stride[bt]])
+        for tier in self._own_billed.intersection(touched):
+            base.bsum[tier] = self._own_bill(base, base.cap[tier], base.agg.get(tier))
+        base.border = self._billed_order(first)
+        billed = {bt: base.bsum[bt] for bt in base.border}
         makespan_s, cost, utility = finalize_plan_metrics(
-            self.workload, plan, est_of, makespan_s, billed,
+            workload, plan, self._download_of, base.raw_makespan, billed,
             self.cluster_spec, self.provider, reuse_aware=self.reuse_aware,
         )
         base.plan = plan
@@ -533,14 +615,44 @@ class PlanEvaluator:
         base.makespan_s = makespan_s
         base.cost = cost
         base.billed = billed
-        base.estimates = {}
         base.evaluation = None
         counters = self.counters
         counters["delta_rebases"] += 1
-        counters["jobs_reestimated"] += reestimated
-        counters["jobs_skipped"] += len(self._jobs) - reestimated
+        counters["jobs_reestimated"] += len(keyed)
+        counters["jobs_skipped"] += len(self._jobs) - len(keyed)
         self._compact_retired()
         return utility
+
+    def _relayout(self, st: _BaseState, size: int) -> None:
+        """Re-lay the columns over ``size`` slots, dropping tombstones."""
+        keep = [s for s, t in enumerate(st.slot_tier) if t is not None]
+        n = len(keep)
+        size = max(size, n, 16)
+        idx = np.asarray(keep, dtype=np.intp)
+
+        def moved(col: np.ndarray, stride: int = 1) -> np.ndarray:
+            out = np.zeros(size * stride)
+            src = idx if stride == 1 else (
+                idx[:, None] * stride + np.arange(stride)
+            ).ravel()
+            out[:n * stride] = col[src]
+            return out
+
+        st.cap = {t: moved(c) for t, c in st.cap.items()}
+        st.tot = moved(st.tot)
+        st.bcol = {t: moved(c, self._stride[t]) for t, c in st.bcol.items()}
+        if n != st.used:
+            # Renumber in place: callers hold references to these.
+            rank = {s: i for i, s in enumerate(keep)}
+            for mapping in (st.slot, st.first):
+                for key, s in mapping.items():
+                    mapping[key] = rank[s]
+            if st.perm is not None:
+                st.perm = np.asarray(
+                    [rank[s] for s in st.perm.tolist()], dtype=np.intp
+                )
+            st.slot_tier[:] = [st.slot_tier[s] for s in keep]
+            st.used = n
 
     # -- memoized job estimation ------------------------------------------------
 
@@ -636,29 +748,85 @@ class PlanEvaluator:
             self._est_objs[key] = est
         return est
 
+    # -- column helpers -----------------------------------------------------------
+
     def _per_vm(self, tier: Tier, aggregate_gb: float) -> float:
-        # Exactly the ops of utility.per_vm_capacity, per tier, with
-        # the service's capacity ceiling cached at construction.
+        # Exactly the ops of utility.per_vm_gb, with the service's
+        # capacity ceiling cached at construction.
         per_vm = aggregate_gb / self._n_vms
         mx = self._max_pvc[tier]
         if per_vm > mx:
             per_vm = mx
         return per_vm if per_vm > 10.0 else 10.0
 
-    def _contribs(self, jid: str, placement: Placement) -> Tuple[Tuple[Tier, float], ...]:
+    def _aggregate(self, st: _BaseState, col: np.ndarray) -> float:
+        """A service's aggregate capacity: its column summed in plan order."""
+        perm = st.perm
+        return seq_sum(col[:st.used] if perm is None else col[perm])
+
+    def _set_aggregate(self, st: _BaseState, tier: Tier, col: np.ndarray) -> None:
+        agg = self._aggregate(st, col)
+        st.agg[tier] = agg
+        st.qpvc[tier] = quantize_capacity(self._per_vm(tier, agg))
+
+    def _bill_values(self, jid: str, tier: Tier, capacity_gb: float) -> Tuple[float, ...]:
         # job_billed_contributions from cached per-job/per-tier parts —
-        # same pairs, same order, same float ops.
-        tier = placement.tier
+        # same values, same pair order, same float ops.
         ri, rb = self._tier_rel[tier]
         inter, io = self._job_gb[jid]
         if ri is not None:
-            cap = placement.capacity_gb - inter
-            pairs = ((ri, inter), (tier, cap if cap > io else io))
+            own = capacity_gb - inter
+            vals: Tuple[float, ...] = (inter, own if own > io else io)
         else:
-            pairs = ((tier, placement.capacity_gb),)
+            vals = (capacity_gb,)
         if rb is not None:
-            pairs = pairs + ((rb, io),)
-        return pairs
+            vals += (io,)
+        return vals
+
+    def _own_bill(
+        self, st: _BaseState, col: np.ndarray, agg: Optional[float]
+    ) -> float:
+        """Billed capacity of an own-billed tier from its capacity column.
+
+        The billed sum runs in slot (workload) order; the aggregate is
+        the same column in plan order, so while the two orders agree it
+        is reused.
+        """
+        if agg is None:
+            return 0.0
+        return agg if st.perm is None else seq_sum(col[:st.used])
+
+    def _billed_order(self, first: Dict[Tier, int]) -> Tuple[Tier, ...]:
+        """Billed tiers present, in first-contribution order.
+
+        The naive billed dict gains a key at the first contribution to
+        it in workload order, and the storage bill sums the dict in key
+        order, so the order is part of the bit-exact contract.  A
+        billed tier's first contribution comes from the first job (in
+        slot order) on one of its source tiers, at that tier's pair
+        position.
+        """
+        keyed = []
+        for bt, sources in self._src.items():
+            best = -1
+            for tier, k in sources:
+                f = first.get(tier)
+                if f is not None:
+                    key = 3 * f + k  # (slot, pair position); k < 3
+                    if best < 0 or key < best:
+                        best = key
+            if best >= 0:
+                keyed.append((best, bt))
+        keyed.sort()  # keys are distinct, so tiers are never compared
+        return tuple(bt for _, bt in keyed)
+
+    def _leave_group(self, st: _BaseState, jid: str, tier: Tier) -> None:
+        app = self._static[jid][0]
+        group = st.groups[tier][app]
+        del group[jid]
+        if not group:
+            del st.groups[tier][app]
+            del st.gid[(tier, app)]
 
     # -- full evaluation (reference-parity path) --------------------------------
 
@@ -672,82 +840,83 @@ class PlanEvaluator:
         ``light`` skips materializing :class:`JobEstimate` objects and
         the :class:`PlanEvaluation` — :attr:`last_evaluation` rebuilds
         both lazily from the memo keys, exactly as it does after
-        ``accept()``.  The reuse-economics pass reads only the
-        capacity-independent ``download_s``, served from the static
-        terms like the ``propose`` path — same values, same order, so
-        the utility stays bit-identical.  This keeps the per-re-plan
-        baseline evaluation of streaming sessions allocation-lean.
+        ``accept()``.  This keeps the per-re-plan baseline evaluation of
+        streaming sessions allocation-lean.
         """
         if self.validate_resets:
             plan.validate(self.workload, self.provider)
-        state = _BaseState()
-        state.plan = plan
-        state.pos = {jid: i for i, jid in enumerate(plan.placements)}
-
-        # Per-tier membership in plan order; aggregates summed in that
-        # order — the order aggregate_capacity_gb() accumulates in.
-        for jid in plan.placements:
-            state.members.setdefault(plan.placements[jid].tier, []).append(jid)
-        for tier, ids in state.members.items():
-            agg = 0.0
-            for jid in ids:
-                agg += plan.placements[jid].capacity_gb
-            state.agg[tier] = agg
-            state.pvc[tier] = self._per_vm(tier, agg)
-            state.qpvc[tier] = quantize_capacity(state.pvc[tier])
-
+        placements = plan.placements
+        jobs = self._jobs
+        n = len(jobs)
         static = self._static
-        makespan_s = 0.0
-        for job in self._jobs:
+        layout, stride = self._layout, self._stride
+        st = _BaseState()
+        st.plan = plan
+        st.used = n
+        st.slot = {job.job_id: i for i, job in enumerate(jobs)}
+        if list(placements) != list(st.slot):
+            st.perm = np.asarray([st.slot[jid] for jid in placements], dtype=np.intp)
+
+        caps = {t: [0.0] * n for t in self._tiers}
+        bcols = {bt: [0.0] * (n * w) for bt, w in stride.items()}
+        st.count = dict.fromkeys(self._tiers, 0)
+        st.groups = {t: {} for t in self._tiers}
+        first = st.first
+        slot_tier = st.slot_tier
+        for i, job in enumerate(jobs):
             jid = job.job_id
-            placement = plan.placements[jid]
-            tier = placement.tier
-            bid = self._bw_id(static[jid][0], tier, state.qpvc[tier])
-            tot = self._tot(jid, tier, bid)
+            p = placements[jid]
+            tier = p.tier
+            slot_tier.append(tier)
+            caps[tier][i] = p.capacity_gb
+            st.count[tier] += 1
+            if tier not in first:
+                first[tier] = i
+            st.groups[tier].setdefault(static[jid][0], {})[jid] = None
+            vals = self._bill_values(jid, tier, p.capacity_gb)
+            for k, bt, off in layout[tier]:
+                bcols[bt][i * stride[bt] + off] = vals[k]
+        st.cap = {t: np.asarray(c, dtype=np.float64) for t, c in caps.items()}
+        st.bcol = {bt: np.asarray(c, dtype=np.float64) for bt, c in bcols.items()}
+        for tier in first:
+            self._set_aggregate(st, tier, st.cap[tier])
+            for app in st.groups[tier]:
+                st.gid[(tier, app)] = self._bw_id(app, tier, st.qpvc[tier])
+
+        tot = [0.0] * n
+        per_job: Dict[str, JobEstimate] = {}
+        for i, job in enumerate(jobs):
+            jid = job.job_id
+            tier = slot_tier[i]
+            bid = st.gid[(tier, static[jid][0])]
+            tot[i] = self._tot(jid, tier, bid)
             if not light:
-                state.estimates[jid] = self._est_obj(jid, tier, bid)
-            state.est_key[jid] = bid
-            state.totals.append(tot)
-            state.contribs.append(self._contribs(jid, placement))
-            makespan_s += tot
-
-        billed: Dict[Tier, float] = {}
-        for pairs in state.contribs:
-            for tier, gb in pairs:
-                billed[tier] = billed.get(tier, 0.0) + gb
-
-        if light:
-            if self.reuse_aware:
-                placements = plan.placements
-
-                def est_of(jid: str) -> _StagingView:
-                    return _StagingView(
-                        static[jid][4]
-                        if placements[jid].tier is Tier.EPH_SSD else 0.0
-                    )
-            else:
-                est_of = None  # type: ignore[assignment]  # never called
-        else:
-            est_of = state.estimates.__getitem__  # type: ignore[assignment]
-
+                per_job[jid] = self._est_obj(jid, tier, bid)
+        st.tot = np.asarray(tot, dtype=np.float64)
+        st.raw_makespan = seq_sum(st.tot)
+        st.bsum = {bt: seq_sum(col) for bt, col in st.bcol.items()}
+        for tier in self._own_billed:
+            st.bsum[tier] = self._own_bill(st, st.cap[tier], st.agg.get(tier))
+        st.border = self._billed_order(first)
+        billed = {bt: st.bsum[bt] for bt in st.border}
         makespan_s, cost, utility = finalize_plan_metrics(
-            self.workload, plan, est_of, makespan_s,
+            self.workload, plan, self._download_of, st.raw_makespan,
             billed, self.cluster_spec, self.provider, reuse_aware=self.reuse_aware,
         )
-        state.utility = utility
-        state.makespan_s = makespan_s
-        state.cost = cost
-        state.billed = billed
+        st.utility = utility
+        st.makespan_s = makespan_s
+        st.cost = cost
+        st.billed = billed
         if not light:
-            state.evaluation = PlanEvaluation(
+            st.evaluation = PlanEvaluation(
                 makespan_s=makespan_s,
                 cost=cost,
                 utility=utility,
-                per_job=dict(state.estimates),
+                per_job=per_job,
                 capacity_gb=dict(billed),
             )
         self.counters["full_evaluations"] += 1
-        return state
+        return st
 
     def evaluate(self, plan: TieringPlan) -> PlanEvaluation:
         """Stateless full evaluation (does not move the base)."""
@@ -776,206 +945,205 @@ class PlanEvaluator:
         base = self._base
         if base.plan is None:
             raise PlanError("propose() before reset(): no base plan")
-        self.counters["incremental_evaluations"] += 1
+        counters = self.counters
+        counters["incremental_evaluations"] += 1
 
         # Effective per-job changes (last write wins), delta-validated
         # exactly as plan.validate would judge the changed jobs.
+        footprint = self._footprint
         new_placements: Dict[str, Placement] = {}
         for jid, placement in move.changes:
-            job = self._job_by_id.get(jid)
-            if job is None:
+            fp = footprint.get(jid)
+            if fp is None:
                 raise PlanError(f"job {jid!r} not in workload")
             if placement.tier not in self._max_pvc:
                 self.provider.service(placement.tier)  # raises CatalogError
-            if placement.capacity_gb + 1e-9 < self._footprint[jid]:
+            if placement.capacity_gb + 1e-9 < fp:
                 raise PlanError(
                     f"{jid}: Eq. 3 violated — provisioned "
-                    f"{placement.capacity_gb:.1f} GB < footprint "
-                    f"{job.footprint_gb:.1f} GB"
+                    f"{placement.capacity_gb:.1f} GB < footprint {fp:.1f} GB"
                 )
             new_placements[jid] = placement
 
-        base_placements = base.plan.placements
-        real_changes: Dict[str, Placement] = {}
-        affected: set = set()
-        for jid, placement in new_placements.items():
-            old = base_placements[jid]
-            if old.tier is placement.tier and old.capacity_gb == placement.capacity_gb:
-                continue
-            real_changes[jid] = placement
-            affected.add(old.tier)
-            affected.add(placement.tier)
-
-        if not real_changes:
+        base_pl = base.plan.placements
+        moves = []
+        for jid, p in new_placements.items():
+            old = base_pl[jid]
+            if old.tier is not p.tier or old.capacity_gb != p.capacity_gb:
+                moves.append((jid, old.tier, p))
+        pending = _Pending()
+        pending.plan = neighbor_plan
+        pending.moves = moves
+        if not moves:
             # Pure no-op: the neighbor is the base plan; reuse its eval.
-            pending = _Pending()
-            pending.plan = neighbor_plan
-            pending.members = {}
-            pending.agg = {}
-            pending.pvc = {}
-            pending.qpvc = {}
-            pending.key_overlay = {}
-            pending.totals = base.totals
-            pending.contrib_overlay = {}
             pending.utility = base.utility
             pending.makespan_s = base.makespan_s
             pending.cost = base.cost
             pending.billed = dict(base.billed)
             self._pending = pending
-            self.counters["jobs_skipped"] += len(self._jobs)
+            counters["jobs_skipped"] += len(self._jobs)
             return pending.utility
 
-        # Scratch membership/aggregates for affected tiers only, summed
-        # in plan order (pos) to match aggregate_capacity_gb bit-wise.
-        pos = base.pos
-        scratch_members: Dict[Tier, List[str]] = {}
-        scratch_agg: Dict[Tier, float] = {}
-        scratch_pvc: Dict[Tier, float] = {}
-        scratch_qpvc: Dict[Tier, float] = {}
-        leavers: Dict[Tier, List[str]] = {}
-        joiners: Dict[Tier, List[str]] = {}
-        for jid, p in real_changes.items():
-            old_tier = base_placements[jid].tier
-            if old_tier is not p.tier:
-                leavers.setdefault(old_tier, []).append(jid)
-                joiners.setdefault(p.tier, []).append(jid)
-        for tier in affected:
-            base_list = base.members.get(tier)
+        # Capacity and billed-contribution patches, leavers and joiners
+        # per touched service.
+        slot = base.slot
+        static = self._static
+        layout, stride = self._layout, self._stride
+        patches: Dict[Tier, List[Tuple[int, float]]] = {}
+        bpatches: Dict[Tier, List[Tuple[int, float]]] = {}
+        leavers: Dict[Tier, Dict[str, int]] = {}
+        joiners: Dict[Tier, Dict[str, int]] = {}
+        for jid, old_tier, p in moves:
+            s = slot[jid]
+            tier = p.tier
+            if old_tier is not tier:
+                patches.setdefault(old_tier, []).append((s, 0.0))
+                leavers.setdefault(old_tier, {})[jid] = s
+                joiners.setdefault(tier, {})[jid] = s
+            patches.setdefault(tier, []).append((s, p.capacity_gb))
+            for _, bt, off in layout[old_tier]:
+                bpatches.setdefault(bt, []).append((s * stride[bt] + off, 0.0))
+            vals = self._bill_values(jid, tier, p.capacity_gb)
+            for k, bt, off in layout[tier]:
+                bpatches.setdefault(bt, []).append((s * stride[bt] + off, vals[k]))
+        tiers: Dict[Tier, _TierState] = {}
+        first_moved = False
+        for tier, patch in patches.items():
             left = leavers.get(tier)
             joined = joiners.get(tier)
-            if left is None and joined is None:
-                # Resize-only: membership (and its plan order) unchanged.
-                ids = base_list if base_list is not None else []
-            else:
-                if base_list is None:
-                    ids = []
-                elif left:
-                    gone = set(left)
-                    ids = [jid for jid in base_list if jid not in gone]
-                else:
-                    ids = base_list.copy()
-                if joined:
-                    ids.extend(joined)
-                    ids.sort(key=pos.__getitem__)
-            scratch_members[tier] = ids
-            if ids:
-                agg = 0.0
-                for jid in ids:
-                    p = real_changes.get(jid)
-                    agg += p.capacity_gb if p is not None else base_placements[jid].capacity_gb
-                scratch_agg[tier] = agg
-                scratch_pvc[tier] = self._per_vm(tier, agg)
-                scratch_qpvc[tier] = quantize_capacity(scratch_pvc[tier])
+            count = base.count[tier] - len(left or ()) + len(joined or ())
+            col = base.cap[tier].copy()
+            for s, c in patch:
+                col[s] = c
+            base_f = base.first.get(tier)
+            if not count:
+                tiers[tier] = _TierState(0, col, None, None, None)
+                first_moved = True
+                continue
+            agg = self._aggregate(base, col)
+            f = base_f
+            if left and f is not None and f in left.values():
+                f = _next_member(base.slot_tier, tier, f + 1, left.values())
+            if joined:
+                m = min(joined.values())
+                if f is None or m < f:
+                    f = m
+            first_moved = first_moved or f != base_f
+            qp = quantize_capacity(self._per_vm(tier, agg))
+            tiers[tier] = _TierState(count, col, agg, qp, f)
 
-        # Re-key only candidate jobs — those the move relocated plus
-        # members of tiers whose quantized per-VM capacity changed —
-        # and re-estimate only where the bandwidth identity differs.
-        tot_overlay: Dict[str, float] = {}
-        key_overlay: Dict[str, int] = {}
-        static = self._static
-        base_est_key = base.est_key
+        # Re-key: pass 1 walks the (tier, app) groups of services whose
+        # quantized per-VM capacity moved — a group whose bandwidth id
+        # held is skipped whole; pass 2 keys the moved jobs pass 1 left.
+        tot_new: Dict[int, float] = {}
+        gid_new: Dict[Tuple[Tier, str], int] = {}
+        base_gid = base.gid
         bw_ids = self._bw_ids
         tot_cache = self._tot_cache
         hits = 0
-        # Pass 1: members of tiers whose quantized per-VM capacity
-        # changed.  All members sharing an app share the (app, tier,
-        # qpvc) -> bandwidth-id lookup, so hoist it to once per app.
-        for tier in affected:
-            qp = scratch_qpvc.get(tier)
-            if qp == base.qpvc.get(tier):
+        for tier, ts in tiers.items():
+            qp = ts.qpvc
+            if qp is None or qp == base.qpvc.get(tier):
                 continue
-            app_bid: Dict[str, int] = {}
-            for jid in scratch_members[tier]:
+            left = leavers.get(tier) or {}
+            left_apps: Dict[str, int] = {}
+            for jid in left:
                 app = static[jid][0]
-                bid = app_bid.get(app)
+                left_apps[app] = left_apps.get(app, 0) + 1
+            joined_apps: Dict[str, List[str]] = {}
+            for jid in joiners.get(tier, ()):
+                joined_apps.setdefault(static[jid][0], []).append(jid)
+            base_groups = base.groups[tier]
+            apps = list(base_groups)
+            if joined_apps:
+                apps.extend(a for a in joined_apps if a not in base_groups)
+            for app in apps:
+                members = base_groups.get(app, {})
+                joined = joined_apps.get(app, ())
+                if not joined and len(members) == left_apps.get(app, 0):
+                    continue  # the move empties this group
+                bid = bw_ids.get((app, tier, qp))
                 if bid is None:
-                    bid = bw_ids.get((app, tier, qp))
-                    if bid is None:
-                        bid = self._bw_id(app, tier, qp)
-                    app_bid[app] = bid
-                if base_est_key.get(jid) == bid:
+                    bid = self._bw_id(app, tier, qp)
+                gid_new[(tier, app)] = bid
+                if bid == base_gid.get((tier, app)):
                     continue
-                tot = tot_cache.get((jid, bid))
-                if tot is None:
-                    tot = self._tot(jid, tier, bid)
-                else:
-                    hits += 1
-                tot_overlay[jid] = tot
-                key_overlay[jid] = bid
-        # Pass 2: relocated/resized jobs whose destination tier kept its
-        # quantized capacity (pass 1 skipped that tier entirely).
-        for jid, p in real_changes.items():
-            if jid in key_overlay:
+                for ids in (members, joined):
+                    for jid in ids:
+                        if jid in left:
+                            continue
+                        tot = tot_cache.get((jid, bid))
+                        if tot is None:
+                            tot = self._tot(jid, tier, bid)
+                        else:
+                            hits += 1
+                        tot_new[slot[jid]] = tot
+        for jid, old_tier, p in moves:
+            s = slot[jid]
+            if s in tot_new:
                 continue
             tier = p.tier
-            bid = bw_ids.get((static[jid][0], tier, scratch_qpvc[tier]))
+            app = static[jid][0]
+            qp = tiers[tier].qpvc
+            bid = bw_ids.get((app, tier, qp))
             if bid is None:
-                bid = self._bw_id(static[jid][0], tier, scratch_qpvc[tier])
-            if base_est_key.get(jid) == bid:
+                bid = self._bw_id(app, tier, qp)
+            if bid == base_gid.get((old_tier, app)):
                 continue
+            gid_new[(tier, app)] = bid
             tot = tot_cache.get((jid, bid))
             if tot is None:
                 tot = self._tot(jid, tier, bid)
             else:
                 hits += 1
-            tot_overlay[jid] = tot
-            key_overlay[jid] = bid
-        counters = self.counters
+            tot_new[s] = tot
         counters["cache_hits"] += hits
-        counters["jobs_reestimated"] += len(tot_overlay)
-        counters["jobs_skipped"] += len(self._jobs) - len(tot_overlay)
+        counters["jobs_reestimated"] += len(tot_new)
+        counters["jobs_skipped"] += len(self._jobs) - len(tot_new)
 
-        # Makespan: cached per-job totals, summed in workload order —
-        # the exact accumulation evaluate_plan performs.
-        totals = base.totals
-        if tot_overlay:
-            totals = totals.copy()
-            job_idx = self._job_idx
-            for jid, tot in tot_overlay.items():
-                totals[job_idx[jid]] = tot
-        makespan_s = sum(totals)
+        # Makespan: the runtime column summed in workload order.
+        tot_col: Optional[np.ndarray] = None
+        raw_makespan = base.raw_makespan
+        if tot_new:
+            tot_col = col = base.tot.copy()
+            for s, tot in tot_new.items():
+                col[s] = tot
+            raw_makespan = seq_sum(col[:base.used])
 
-        # Billed capacities: cached per-job contribution pairs,
-        # accumulated in workload order (naive loop over cached parts).
-        contrib_overlay: Dict[int, Tuple[Tuple[Tier, float], ...]] = {
-            self._job_idx[jid]: self._contribs(jid, p)
-            for jid, p in real_changes.items()
-        }
-        billed: Dict[Tier, float] = {}
-        base_contribs = base.contribs
-        for i in range(len(base_contribs)):
-            pairs = contrib_overlay.get(i)
-            if pairs is None:
-                pairs = base_contribs[i]
-            for tier, gb in pairs:
-                billed[tier] = billed.get(tier, 0.0) + gb
-
-        if self.reuse_aware:
-            # finalize reads only .download_s (the capacity-independent
-            # objStore staging term) — serve it from static terms.
-            def est_of(jid: str) -> _StagingView:
-                p = real_changes.get(jid)
-                tier = p.tier if p is not None else base_placements[jid].tier
-                return _StagingView(
-                    static[jid][4] if tier is Tier.EPH_SSD else 0.0
-                )
-        else:
-            est_of = None  # type: ignore[assignment]  # never called
+        # Billed capacities: the patched contribution columns' sums.
+        bcol: Dict[Tier, np.ndarray] = {}
+        bsum: Dict[Tier, float] = {}
+        for bt, patch in bpatches.items():
+            col = base.bcol[bt].copy()
+            for i, gb in patch:
+                col[i] = gb
+            bcol[bt] = col
+            bsum[bt] = seq_sum(col[:base.used * stride[bt]])
+        for tier in self._own_billed.intersection(tiers):
+            bsum[tier] = self._own_bill(base, tiers[tier].cap, tiers[tier].agg)
+        border = base.border
+        if first_moved:
+            first = dict(base.first)
+            for tier, ts in tiers.items():
+                if ts.first is None:
+                    first.pop(tier, None)
+                else:
+                    first[tier] = ts.first
+            border = self._billed_order(first)
+        base_bsum = base.bsum
+        billed = {bt: bsum[bt] if bt in bsum else base_bsum[bt] for bt in border}
 
         makespan_s, cost, utility = finalize_plan_metrics(
-            self.workload, neighbor_plan, est_of, makespan_s, billed,
-            self.cluster_spec, self.provider, reuse_aware=self.reuse_aware,
+            self.workload, neighbor_plan, self._download_of, raw_makespan,
+            billed, self.cluster_spec, self.provider, reuse_aware=self.reuse_aware,
         )
-
-        pending = _Pending()
-        pending.plan = neighbor_plan
-        pending.members = scratch_members
-        pending.agg = scratch_agg
-        pending.pvc = scratch_pvc
-        pending.qpvc = scratch_qpvc
-        pending.key_overlay = key_overlay
-        pending.totals = totals
-        pending.contrib_overlay = contrib_overlay
+        pending.tiers = tiers
+        pending.gid = gid_new
+        pending.tot = tot_col
+        pending.raw_makespan = raw_makespan
+        pending.bcol = bcol
+        pending.bsum = bsum
+        pending.border = border
         pending.utility = utility
         pending.makespan_s = makespan_s
         pending.cost = cost
@@ -990,25 +1158,29 @@ class PlanEvaluator:
             raise PlanError("accept() without a pending proposal")
         base = self._base
         base.plan = pending.plan
-        for tier, ids in pending.members.items():
-            if ids:
-                base.members[tier] = ids
-            else:
-                base.members.pop(tier, None)
-            agg = pending.agg.get(tier)
-            if agg is None:
-                base.agg.pop(tier, None)
-                base.pvc.pop(tier, None)
-                base.qpvc.pop(tier, None)
-            else:
-                base.agg[tier] = agg
-                base.pvc[tier] = pending.pvc[tier]
-                base.qpvc[tier] = pending.qpvc[tier]
-        base.est_key.update(pending.key_overlay)
-        base.totals = pending.totals
-        if pending.contrib_overlay:
-            for i, pairs in pending.contrib_overlay.items():
-                base.contribs[i] = pairs
+        if pending.moves:
+            for jid, old_tier, p in pending.moves:
+                if p.tier is not old_tier:
+                    self._leave_group(base, jid, old_tier)
+                    base.groups[p.tier].setdefault(self._static[jid][0], {})[jid] = None
+                    base.slot_tier[base.slot[jid]] = p.tier
+            base.gid.update(pending.gid)
+            for tier, ts in pending.tiers.items():
+                base.count[tier] = ts.count
+                base.cap[tier] = ts.cap
+                if ts.count:
+                    base.agg[tier] = ts.agg  # type: ignore[assignment]
+                    base.qpvc[tier] = ts.qpvc  # type: ignore[assignment]
+                    base.first[tier] = ts.first  # type: ignore[assignment]
+                else:
+                    for d in (base.agg, base.qpvc, base.first):
+                        d.pop(tier, None)
+            if pending.tot is not None:
+                base.tot = pending.tot
+            base.raw_makespan = pending.raw_makespan
+            base.bcol.update(pending.bcol)
+            base.bsum.update(pending.bsum)
+            base.border = pending.border
         base.utility = pending.utility
         base.makespan_s = pending.makespan_s
         base.cost = pending.cost
@@ -1053,23 +1225,22 @@ class PlanEvaluator:
             return None
         if base.evaluation is None:
             # Estimates are materialized here, not in the hot loop:
-            # accept() only promotes memo keys, so rebuild per_job from
-            # (job, bandwidth id) in workload order like the naive path.
+            # rebuild per_job from each job's (tier, app) group key in
+            # workload order, like the naive path.
             placements = base.plan.placements
-            per_job = {
-                job.job_id: self._est_obj(
-                    job.job_id,
-                    placements[job.job_id].tier,
-                    base.est_key[job.job_id],
+            static = self._static
+            per_job = {}
+            for job in self._jobs:
+                jid = job.job_id
+                tier = placements[jid].tier
+                per_job[jid] = self._est_obj(
+                    jid, tier, base.gid[(tier, static[jid][0])]
                 )
-                for job in self._jobs
-            }
-            base.estimates = per_job
             base.evaluation = PlanEvaluation(
                 makespan_s=base.makespan_s,
                 cost=base.cost,  # type: ignore[arg-type]
                 utility=base.utility,
-                per_job=dict(per_job),
+                per_job=per_job,
                 capacity_gb=dict(base.billed),
             )
         return base.evaluation
@@ -1077,3 +1248,20 @@ class PlanEvaluator:
     def stats(self) -> Dict[str, int]:
         """Counters for benchmarks and the planner-service ``stats`` op."""
         return {**self.counters, "cache_entries": len(self._tot_cache)}
+
+
+def _next_member(
+    slot_tier: List[Optional[Tier]], tier: Tier, start: int,
+    skip: Iterable[int] = (),
+) -> Optional[int]:
+    """First slot at or after ``start`` on ``tier``, not in ``skip``."""
+    skip = set(skip)
+    i = start
+    try:
+        while True:
+            i = slot_tier.index(tier, i)
+            if i not in skip:
+                return i
+            i += 1
+    except ValueError:
+        return None

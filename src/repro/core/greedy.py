@@ -23,8 +23,9 @@ from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..profiler.models import ModelMatrix
 from ..workloads.spec import JobSpec, WorkloadSpec
-from .plan import Placement, TieringPlan
-from .utility import evaluate_plan
+from .perf_model import estimate_job
+from .plan import Placement, TieringPlan, job_billed_contributions
+from .utility import per_vm_gb, price_plan
 
 __all__ = ["greedy_plan", "greedy_exact_fit", "greedy_over_provisioned"]
 
@@ -48,16 +49,33 @@ def _single_job_utility(
     matrix: ModelMatrix,
     provider: CloudProvider,
 ) -> float:
-    """Algorithm 1's ``Utility(j, f)``: the job alone on the tier."""
+    """Algorithm 1's ``Utility(j, f)``: the job alone on the tier.
+
+    :func:`~repro.core.utility.evaluate_plan` of the one-job workload,
+    run through the same helpers in the same order (the one-member
+    aggregate, the Eq. 1 estimate, the job's billed pairs, the pricing
+    tail) without building a workload and plan per candidate, so the
+    score is bit-identical.  Callers pass capacities at or above the
+    Eq. 3 footprint, so the plan would validate.
+    """
     key = (id(matrix), id(provider), cluster_spec, job, placement)
     hit = _SOLO_CACHE.get(key)
     if hit is None:
         if len(_SOLO_CACHE) >= _SOLO_CACHE_MAX:
             _SOLO_CACHE.clear()
             _SOLO_CACHE_REFS.clear()
-        solo = WorkloadSpec(jobs=(job,), name=f"solo-{job.job_id}")
-        plan = TieringPlan(placements={job.job_id: placement})
-        hit = evaluate_plan(solo, plan, cluster_spec, matrix, provider).utility
+        tier = placement.tier
+        pvc = per_vm_gb(
+            0.0 + placement.capacity_gb, cluster_spec.n_vms,
+            provider.service(tier).max_capacity_per_vm_gb(),
+        )
+        est = estimate_job(
+            job, tier, pvc, cluster_spec, matrix, provider, include_staging=True
+        )
+        billed: Dict[Tier, float] = {}
+        for t, gb in job_billed_contributions(job, placement, provider):
+            billed[t] = billed.get(t, 0.0) + gb
+        hit = price_plan(0.0 + est.total_s, billed, cluster_spec, provider)[1]
         _SOLO_CACHE[key] = hit
         _SOLO_CACHE_REFS[id(matrix)] = matrix
         _SOLO_CACHE_REFS[id(provider)] = provider

@@ -126,7 +126,10 @@ class TieringPlan:
             if job_id not in new:
                 raise PlanError(f"job {job_id!r} not in plan")
             new[job_id] = placement
-        return TieringPlan(placements=new)
+        # ``new`` is private to the copy, so skip __post_init__'s copy.
+        plan = object.__new__(TieringPlan)
+        object.__setattr__(plan, "placements", new)
+        return plan
 
     # -- lookups -----------------------------------------------------------
 

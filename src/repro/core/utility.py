@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Tuple
 
+import numpy as np
+
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
@@ -45,6 +47,9 @@ __all__ = [
     "evaluate_plan",
     "finalize_plan_metrics",
     "per_vm_capacity",
+    "per_vm_gb",
+    "price_plan",
+    "seq_sum",
 ]
 
 
@@ -73,31 +78,74 @@ class PlanEvaluation:
         return seconds_to_minutes(self.makespan_s)
 
 
+_accumulate = np.add.accumulate
+
+
+def seq_sum(values) -> float:
+    """Left-to-right float sum ``((0.0 + v0) + v1) + ...``.
+
+    The summation order :func:`evaluate_plan` uses for its ``+=``
+    loops, and the one every bit-exact sum elsewhere in the planner
+    must reproduce.  Not ``sum()`` (compensated since Python 3.12),
+    ``math.fsum`` (exactly rounded) or ``np.sum`` (pairwise): each can
+    round differently in the last place.  ``np.add.accumulate`` is a
+    strictly sequential C loop, so this runs at C speed on the
+    evaluator's float64 columns.
+    """
+    if type(values) is not np.ndarray or values.dtype != np.float64:
+        values = np.asarray(values, dtype=np.float64)
+    if not len(values):
+        return 0.0
+    # ``+ 0.0`` turns an all-``-0.0`` sum into ``0.0``, as the loop does.
+    return _accumulate(values).item(-1) + 0.0
+
+
+def per_vm_gb(aggregate_gb: float, n_vms: int, max_per_vm_gb: float) -> float:
+    """One service's per-VM capacity from its aggregate (Eq. 4 input).
+
+    The aggregate spreads across the cluster, is clamped to the
+    service's per-VM stacking limit, and floored at the smallest
+    billable volume so the REG lookup stays in-domain.
+    """
+    per_vm = min(aggregate_gb / n_vms, max_per_vm_gb)
+    return max(per_vm, 10.0)
+
+
 def per_vm_capacity(
     plan: TieringPlan,
     cluster_spec: ClusterSpec,
     provider: CloudProvider,
 ) -> Dict[Tier, float]:
-    """Per-VM provisioned capacity per service under a plan.
+    """Per-VM provisioned capacity per service under a plan."""
+    return {
+        tier: per_vm_gb(
+            agg, cluster_spec.n_vms, provider.service(tier).max_capacity_per_vm_gb()
+        )
+        for tier, agg in plan.aggregate_capacity_gb().items()
+    }
 
-    The workload's aggregate capacity on a service spreads across the
-    cluster (``capacity[f] / nvm``), clamped to the service's per-VM
-    stacking limit, floored at the smallest billable volume so the REG
-    lookup stays in-domain.
-    """
-    out: Dict[Tier, float] = {}
-    for tier, agg in plan.aggregate_capacity_gb().items():
-        svc = provider.service(tier)
-        per_vm = agg / cluster_spec.n_vms
-        per_vm = min(per_vm, svc.max_capacity_per_vm_gb())
-        out[tier] = max(per_vm, 10.0)
-    return out
+
+def price_plan(
+    makespan_s: float,
+    billed: Mapping[Tier, float],
+    cluster_spec: ClusterSpec,
+    provider: CloudProvider,
+    extra_holding_usd: float = 0.0,
+) -> Tuple[CostBreakdown, float]:
+    """Eq. 5/6 cost plus reuse holding, and the Eq. 2 utility."""
+    if makespan_s <= 0:
+        raise PlanError("plan evaluates to a non-positive makespan")
+    cost = deployment_cost(provider, cluster_spec, makespan_s, billed)
+    cost = CostBreakdown(
+        vm_usd=cost.vm_usd, storage_usd=cost.storage_usd + extra_holding_usd
+    )
+    return cost, tenant_utility(makespan_s, cost.total_usd)
 
 
 def finalize_plan_metrics(
     workload: WorkloadSpec,
     plan: TieringPlan,
-    est_of: Callable[[str], JobEstimate],
+    download_of: Callable[[str], float],
     makespan_s: float,
     billed: Dict[Tier, float],
     cluster_spec: ClusterSpec,
@@ -108,27 +156,30 @@ def finalize_plan_metrics(
 
     Both :func:`evaluate_plan` and the incremental
     :class:`~repro.core.evaluator.PlanEvaluator` run this exact code on
-    their (identical) per-job estimates, raw makespan and billed
-    capacities, which is what guarantees the two paths return
-    bit-identical utilities.  ``billed`` is adjusted in place (reuse
-    dedup); callers pass a dict they own.  Returns
-    ``(makespan_s, cost, utility)``.
+    their (identical) raw makespan and billed capacities, which is what
+    guarantees the two paths return bit-identical utilities.
+    ``billed`` is adjusted in place (reuse dedup); callers pass a dict
+    they own.  ``download_of(job_id)`` is a job's objStore download
+    time on ephSSD; it is only asked for members of reuse sets placed
+    wholly on ephSSD.  Returns ``(makespan_s, cost, utility)``.
     """
     extra_holding_usd = 0.0
 
     if reuse_aware:
-        for rs in workload.reuse_sets:
-            tiers = {plan.tier_of(j) for j in rs.job_ids}
-            members = sorted(rs.job_ids)
-            shared_gb = max(workload.job(j).input_gb for j in members)
+        placements = plan.placements
+        for members, shared_gb, window_s in workload.reuse_table:
+            # Tiers in the order of their first (sorted) member.  A set
+            # of str-enum tiers would iterate in hash order, which
+            # changes per process and so would the holding-cost sum.
+            tiers = list(dict.fromkeys(placements[j].tier for j in members))
             if len(tiers) == 1:
-                tier = next(iter(tiers))
+                tier = tiers[0]
                 # One staged copy serves every member: later ephSSD
                 # accesses skip the objStore download...
                 if tier is Tier.EPH_SSD:
-                    by_dl = sorted(members, key=lambda j: est_of(j).download_s)
+                    by_dl = sorted(members, key=download_of)
                     for j in by_dl[:-1]:
-                        makespan_s -= est_of(j).download_s
+                        makespan_s -= download_of(j)
                 # ...and the shared input occupies capacity once.
                 dup = (len(members) - 1) * shared_gb
                 billed[tier] = max(0.0, billed.get(tier, 0.0) - dup)
@@ -136,17 +187,15 @@ def finalize_plan_metrics(
                 if backing is not None:
                     billed[backing] = max(0.0, billed.get(backing, 0.0) - dup)
             # Holding beyond the workload run, on every tier hosting a copy.
-            extra_s = max(0.0, rs.lifetime.window_seconds - makespan_s)
+            extra_s = max(0.0, window_s - makespan_s)
             if extra_s > 0:
                 for tier in tiers:
                     extra_holding_usd += holding_cost(provider, tier, shared_gb, extra_s)
 
-    if makespan_s <= 0:
-        raise PlanError("plan evaluates to a non-positive makespan")
-
-    cost = deployment_cost(provider, cluster_spec, makespan_s, billed)
-    cost = CostBreakdown(vm_usd=cost.vm_usd, storage_usd=cost.storage_usd + extra_holding_usd)
-    return makespan_s, cost, tenant_utility(makespan_s, cost.total_usd)
+    cost, utility = price_plan(
+        makespan_s, billed, cluster_spec, provider, extra_holding_usd
+    )
+    return makespan_s, cost, utility
 
 
 def evaluate_plan(
@@ -187,7 +236,7 @@ def evaluate_plan(
 
     billed = plan.billed_capacity_gb(workload, provider)
     makespan_s, cost, utility = finalize_plan_metrics(
-        workload, plan, estimates.__getitem__, makespan_s, billed,
+        workload, plan, lambda j: estimates[j].download_s, makespan_s, billed,
         cluster_spec, provider, reuse_aware=reuse_aware,
     )
     return PlanEvaluation(

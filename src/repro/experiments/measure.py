@@ -104,12 +104,12 @@ def measure_plan(
 
     billed = plan.billed_capacity_gb(workload, prov)
     extra_holding = 0.0
-    for rs in workload.reuse_sets:
-        tiers = {plan.tier_of(j) for j in rs.job_ids}
-        members = sorted(rs.job_ids)
-        shared_gb = max(workload.job(j).input_gb for j in members)
+    for members, shared_gb, window_s in workload.reuse_table:
+        # First-member tier order keeps the holding sum reproducible
+        # (see finalize_plan_metrics).
+        tiers = list(dict.fromkeys(plan.tier_of(j) for j in members))
         if reuse_engineered and len(tiers) == 1:
-            tier = next(iter(tiers))
+            tier = tiers[0]
             if tier is Tier.EPH_SSD:
                 # Data staged once; later accesses find it warm.
                 by_dl = sorted(members, key=lambda j: results[j].download_s)
@@ -120,7 +120,7 @@ def measure_plan(
             backing = prov.service(tier).requires_backing
             if backing is not None:
                 billed[backing] = max(0.0, billed.get(backing, 0.0) - dup)
-        extra_s = max(0.0, rs.lifetime.window_seconds - makespan)
+        extra_s = max(0.0, window_s - makespan)
         if extra_s > 0:
             for tier in tiers:
                 extra_holding += holding_cost(prov, tier, shared_gb, extra_s)

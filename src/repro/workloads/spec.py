@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import WorkloadError
 from .apps import APP_CATALOG, AppProfile
@@ -24,6 +25,7 @@ __all__ = [
     "JobSpec",
     "ReuseLifetime",
     "ReuseSet",
+    "ReuseEntry",
     "WorkloadSpec",
 ]
 
@@ -155,6 +157,17 @@ class ReuseSet:
             raise WorkloadError("ReuseSet needs at least one access")
 
 
+class ReuseEntry(NamedTuple):
+    """One reuse set's constants for the §3.1.3 reuse economics."""
+
+    #: The set's job ids, sorted.
+    members: Tuple[str, ...]
+    #: Size of the shared dataset: the largest member input (GB).
+    shared_gb: float
+    #: The lifetime's window in seconds.
+    window_s: float
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A full analytics workload: jobs + reuse structure.
@@ -184,20 +197,46 @@ class WorkloadSpec:
             seen |= rs.job_ids
 
     # -- lookups -----------------------------------------------------------
+    #
+    # The indexes are built on first use and cached on the instance (the
+    # spec is immutable, so they never go stale).
+
+    @cached_property
+    def _job_index(self) -> Dict[str, JobSpec]:
+        return {j.job_id: j for j in self.jobs}
+
+    @cached_property
+    def _reuse_index(self) -> Dict[str, ReuseSet]:
+        return {jid: rs for rs in self.reuse_sets for jid in rs.job_ids}
 
     def job(self, job_id: str) -> JobSpec:
         """Find a job by id."""
-        for j in self.jobs:
-            if j.job_id == job_id:
-                return j
-        raise WorkloadError(f"no job {job_id!r} in workload {self.name!r}")
+        try:
+            return self._job_index[job_id]
+        except KeyError:
+            raise WorkloadError(
+                f"no job {job_id!r} in workload {self.name!r}"
+            ) from None
 
     def reuse_set_of(self, job_id: str) -> Optional[ReuseSet]:
         """The reuse set containing ``job_id``, or ``None``."""
+        return self._reuse_index.get(job_id)
+
+    @cached_property
+    def reuse_table(self) -> Tuple[ReuseEntry, ...]:
+        """Per reuse set, in declaration order: sorted members, shared
+        dataset size and lifetime window — what the reuse-aware
+        objective reads on every evaluation."""
+        index = self._job_index
+        table = []
         for rs in self.reuse_sets:
-            if job_id in rs.job_ids:
-                return rs
-        return None
+            members = tuple(sorted(rs.job_ids))
+            table.append(ReuseEntry(
+                members=members,
+                shared_gb=max(index[j].input_gb for j in members),
+                window_s=rs.lifetime.window_seconds,
+            ))
+        return tuple(table)
 
     # -- aggregates ----------------------------------------------------------
 

@@ -1,11 +1,17 @@
 """Cost model (Eq. 5/6), tenant utility (Eq. 2), plan evaluation."""
 
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.cloud.storage import Tier
 from repro.core.cost import CostBreakdown, deployment_cost, holding_cost
 from repro.core.plan import Placement, TieringPlan
-from repro.core.utility import evaluate_plan, per_vm_capacity, tenant_utility
+from repro.core.utility import evaluate_plan, per_vm_capacity, seq_sum, tenant_utility
 from repro.workloads.apps import GREP, SORT
 from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
 
@@ -169,3 +175,75 @@ class TestEvaluatePlan:
         )
         with pytest.raises(PlanError):
             evaluate_plan(reuse_workload, bad, char_cluster, matrix, provider)
+
+
+class TestSeqSum:
+    """The canonical left-to-right sum every bit-exact path shares."""
+
+    def test_is_the_plus_equals_loop_not_compensated_sum(self):
+        # A compensated sum (``sum()`` since Python 3.12, ``math.fsum``)
+        # gives 1.0 here; the += loop evaluate_plan runs does not.
+        assert seq_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_matches_a_plus_equals_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 16, 17, 100, 401, 5000):
+            values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
+            total = 0.0
+            for v in values.tolist():
+                total += v
+            assert seq_sum(values) == total
+            assert seq_sum(values.tolist()) == total
+
+    def test_empty_and_zero_columns(self):
+        assert seq_sum([]) == 0.0
+        assert seq_sum(np.zeros(8)) == 0.0
+        assert math.copysign(1.0, seq_sum([-0.0, -0.0])) == 1.0
+
+
+_HOLDING_ORDER_SCRIPT = """
+from repro.cloud.provider import google_cloud_2015
+from repro.cloud.storage import Tier
+from repro.cloud.vm import ClusterSpec
+from repro.core.plan import Placement, TieringPlan
+from repro.core.utility import evaluate_plan
+from repro.profiler.profiler import build_model_matrix
+from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
+
+provider = google_cloud_2015()
+cluster = ClusterSpec(n_vms=25)
+jobs = tuple(
+    JobSpec.make(f"j{i}", app, gb)
+    for i, (app, gb) in enumerate(
+        [("sort", 1370.0), ("grep", 330.0), ("join", 170.0), ("kmeans", 1190.0)]
+    )
+)
+workload = WorkloadSpec(
+    jobs=jobs,
+    reuse_sets=(ReuseSet(frozenset(j.job_id for j in jobs), ReuseLifetime.LONG),),
+)
+tiers = (Tier.PERS_SSD, Tier.PERS_HDD, Tier.OBJ_STORE, Tier.EPH_SSD)
+plan = TieringPlan({
+    j.job_id: Placement(t, j.footprint_gb * 1.37) for j, t in zip(jobs, tiers)
+})
+matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
+print(evaluate_plan(workload, plan, cluster, matrix, provider,
+                    reuse_aware=True).utility.hex())
+"""
+
+
+def test_reuse_aware_utility_is_independent_of_hash_seed():
+    # A reuse set split over all four tiers pays holding on each of
+    # them; summing those in set-iteration order of str-enum tiers made
+    # the last bit depend on PYTHONHASHSEED (three values over twelve
+    # seeds for this plan).
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    values = set()
+    for seed in ("0", "1", "2", "3", "5", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _HOLDING_ORDER_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        values.add(out.stdout.strip())
+    assert len(values) == 1, values

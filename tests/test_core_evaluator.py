@@ -21,9 +21,10 @@ from repro.core.evaluator import PlanEvaluator, PlanMove
 from repro.core.plan import Placement, TieringPlan
 from repro.core.solver import CAPACITY_MULTIPLIERS, CastSolver
 from repro.core.utility import evaluate_plan
-from repro.errors import PlanError
+from repro.errors import CastError, PlanError
 from repro.profiler.profiler import build_model_matrix
-from repro.workloads.swim import synthesize_small_workload
+from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
+from repro.workloads.swim import synthesize_facebook_workload, synthesize_small_workload
 
 # ---------------------------------------------------------------------------
 # Deployments under test: both provider catalogs, one shared cluster.
@@ -265,6 +266,168 @@ def test_property_random_move_sequences_agree(
         final = ev.last_evaluation
         assert final.makespan_s == ref.makespan_s
         assert dict(final.capacity_gb) == dict(ref.capacity_gb)
+
+
+def reuse_workload(n_jobs, seed):
+    """A ``make_workload`` with pairs and triples of jobs sharing input."""
+    base = make_workload(n_jobs=n_jobs, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    ids = [j.job_id for j in base.jobs]
+    rng.shuffle(ids)
+    lifetimes = (ReuseLifetime.SHORT, ReuseLifetime.LONG)
+    sets, at = [], 0
+    for _ in range(n_jobs // 12):
+        size = int(rng.integers(2, 4))
+        sets.append(ReuseSet(
+            job_ids=frozenset(ids[at:at + size]),
+            lifetime=lifetimes[int(rng.integers(2))],
+        ))
+        at += size
+    return WorkloadSpec(jobs=base.jobs, reuse_sets=tuple(sets), name=base.name)
+
+
+def shuffled(plan, rng):
+    """The same placements in another plan order."""
+    ids = list(plan.placements)
+    rng.shuffle(ids)
+    return TieringPlan(placements={jid: plan.placements[jid] for jid in ids})
+
+
+def delta_step(workload, plan, provider, rng, step):
+    """A session-shaped delta: drop 0-3 jobs, append 0-3 arrivals
+    (sometimes sharing a new reuse set), the base plan edited to match."""
+    jobs = list(workload.jobs)
+    gone = {jobs[i].job_id for i in rng.choice(len(jobs), int(rng.integers(0, 4)),
+                                                 replace=False)}
+    pool = make_workload(n_jobs=4, seed=1000 + step)
+    added = [
+        JobSpec(job_id=f"arr{step}-{k}", app=j.app, input_gb=j.input_gb, n_maps=j.n_maps)
+        for k, j in enumerate(pool.jobs[:int(rng.integers(0, 4))])
+    ]
+    sets = [
+        ReuseSet(job_ids=rs.job_ids - gone, lifetime=rs.lifetime)
+        for rs in workload.reuse_sets if rs.job_ids - gone
+    ]
+    if len(added) >= 2 and rng.random() < 0.5:
+        sets.append(ReuseSet(job_ids=frozenset(j.job_id for j in added[:2]),
+                             lifetime=ReuseLifetime.LONG))
+    new_workload = WorkloadSpec(
+        jobs=tuple(j for j in jobs if j.job_id not in gone) + tuple(added),
+        reuse_sets=tuple(sets), name=workload.name,
+    )
+    tiers = list(provider.tiers)
+    placements = {jid: p for jid, p in plan.placements.items() if jid not in gone}
+    for job in added:
+        mult = CAPACITY_MULTIPLIERS[rng.integers(len(CAPACITY_MULTIPLIERS))]
+        placements[job.job_id] = Placement(
+            tier=tiers[rng.integers(len(tiers))], capacity_gb=job.footprint_gb * mult
+        )
+    return new_workload, TieringPlan(placements=placements), added, tuple(gone)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    deployment=st.sampled_from(sorted(DEPLOYMENTS)),
+    reuse_aware=st.booleans(),
+    n_jobs=st.integers(min_value=60, max_value=150),
+    walk_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    reorder=st.booleans(),
+)
+def test_property_large_workloads_with_reuse_and_deltas(
+    deployment, reuse_aware, n_jobs, walk_seed, reorder
+):
+    """Every step kind the solvers and sessions drive, at scale.
+
+    Random single-job and app-bulk moves, no-op and infeasible moves,
+    proposals rejected between accepts, and workload deltas, on
+    workloads with reuse sets and (``reorder``) a plan order that is
+    not the workload order.  Each proposal's utility and every base
+    evaluation must equal ``evaluate_plan`` bit for bit.
+    """
+    provider, matrix = DEPLOYMENTS[deployment]
+    rng = np.random.default_rng(walk_seed)
+    workload = reuse_workload(n_jobs, seed=walk_seed % 97)
+    plan = seed_plan(workload, provider, seed=walk_seed % 89)
+    if reorder:
+        plan = shuffled(plan, rng)
+    ev = PlanEvaluator(workload, CLUSTER, matrix, provider, reuse_aware=reuse_aware)
+    ev.reset(plan)
+
+    def naive(wl, p):
+        return evaluate_plan(wl, p, CLUSTER, matrix, provider, reuse_aware=reuse_aware)
+
+    for step in range(24):
+        kind = rng.integers(8)
+        if kind == 0:
+            # No-op: re-assert existing placements.
+            ids = [j.job_id for j in workload.jobs[:3]]
+            changes = tuple((jid, plan.placements[jid]) for jid in ids)
+            assert ev.propose(plan.with_placements(changes), PlanMove(changes)) \
+                == naive(workload, plan).utility
+            continue
+        if kind == 1:
+            # Infeasible: Eq. 3 violation or an unknown job; base intact.
+            job = workload.jobs[int(rng.integers(len(workload.jobs)))]
+            bad = ((job.job_id, Placement(tier=Tier.PERS_SSD, capacity_gb=0.5)),)
+            if rng.random() < 0.5:
+                bad = (("no-such-job", Placement(tier=Tier.PERS_SSD, capacity_gb=10.0)),)
+            with pytest.raises(CastError):
+                ev.propose(plan, PlanMove(bad))
+            assert ev.base_utility == naive(workload, plan).utility
+            continue
+        if kind == 2:
+            workload, plan, added, gone = delta_step(workload, plan, provider, rng, step)
+            u = ev.apply_workload_delta(workload, plan, added, gone)
+            assert u == naive(workload, plan).utility
+            assert_matches_naive(
+                ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
+            )
+            continue
+        changes = random_changes(workload, provider, plan, rng)
+        neighbor = plan.with_placements(changes)
+        ref = naive(workload, neighbor)
+        assert ev.propose(neighbor, PlanMove(changes)) == ref.utility
+        if rng.random() < 0.5:
+            ev.accept()
+            plan = neighbor
+            assert ev.base_utility == ref.utility
+            assert ev.base_makespan_s == ref.makespan_s
+            # Aggregates feed the bandwidth lookup only after 1 GB
+            # quantization, so check their plan-order sums directly.
+            assert ev._base.agg == plan.aggregate_capacity_gb()
+            assert_matches_naive(
+                ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
+            )
+
+
+def test_castpp_solve_counters_are_pinned():
+    """The evaluator's work counters for one seeded 100-job CAST++ solve.
+
+    The counters (memo hits/misses, re-estimated and skipped jobs) are
+    part of the solver's observable behaviour — the planner service
+    reports them — so the incremental machinery may get cheaper but
+    must not change what it counts.
+    """
+    provider, matrix = DEPLOYMENTS["google"]
+    workload = synthesize_facebook_workload()
+    solver = CastPlusPlus(
+        cluster_spec=CLUSTER, matrix=matrix, provider=provider,
+        schedule=AnnealingSchedule(iter_max=600), seed=7,
+    )
+    result = solver.solve(workload)
+    assert (workload.n_jobs, len(workload.reuse_sets)) == (100, 5)
+    assert result.best_utility.hex() == "0x1.4ec0e64d9cd13p-15"
+    assert result.accepted == 573
+    assert solver.last_evaluator.stats() == {
+        "full_evaluations": 1,
+        "incremental_evaluations": 600,
+        "delta_rebases": 0,
+        "cache_hits": 915,
+        "cache_misses": 2758,
+        "jobs_reestimated": 3573,
+        "jobs_skipped": 56427,
+        "cache_entries": 2758,
+    }
 
 
 # ---------------------------------------------------------------------------

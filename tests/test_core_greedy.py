@@ -81,3 +81,31 @@ class TestTierRestriction:
         )
         for job in workload.jobs:
             assert plan.tier_of(job.job_id) in (Tier.PERS_HDD, Tier.OBJ_STORE)
+
+
+def test_solo_score_is_the_one_job_evaluate_plan(char_cluster, matrix, provider):
+    """Algorithm 1's score skips building a one-job workload and plan,
+    but must stay bit-identical to evaluating exactly that."""
+    from repro.core.greedy import _over_provisioned_capacity, _single_job_utility
+    from repro.core.plan import Placement, TieringPlan
+    from repro.core.utility import evaluate_plan
+    from repro.workloads.apps import JOIN
+
+    jobs = (
+        JobSpec(job_id="sort", app=SORT, input_gb=200.0, n_maps=200),
+        JobSpec(job_id="grep", app=GREP, input_gb=3.3),
+        JobSpec(job_id="join", app=JOIN, input_gb=1700.0),
+        JobSpec(job_id="kmeans", app=KMEANS, input_gb=11.9),
+    )
+    for job in jobs:
+        for tier in provider.tiers:
+            for cap in (
+                job.footprint_gb,
+                _over_provisioned_capacity(job, tier, char_cluster, provider),
+            ):
+                placement = Placement(tier=tier, capacity_gb=cap)
+                solo = WorkloadSpec(jobs=(job,))
+                plan = TieringPlan(placements={job.job_id: placement})
+                ref = evaluate_plan(solo, plan, char_cluster, matrix, provider)
+                got = _single_job_utility(job, placement, char_cluster, matrix, provider)
+                assert got == ref.utility

@@ -98,6 +98,28 @@ class TestWorkloadSpec:
             wl.job("zz")
         assert wl.reuse_set_of("a") is None
 
+    def test_reuse_table_precomputes_set_constants(self):
+        wl = WorkloadSpec(
+            jobs=(make_job("c", gb=30.0), make_job("a", gb=80.0), make_job("b", gb=50.0)),
+            reuse_sets=(
+                ReuseSet(job_ids=frozenset({"c", "a"}), lifetime=ReuseLifetime.LONG),
+                ReuseSet(job_ids=frozenset({"b"})),
+            ),
+        )
+        (first, second) = wl.reuse_table
+        assert first.members == ("a", "c")
+        assert first.shared_gb == 80.0
+        assert first.window_s == ReuseLifetime.LONG.window_seconds
+        assert second == (("b",), 50.0, ReuseLifetime.SHORT.window_seconds)
+
+    def test_lookups_are_cached_and_leave_equality_alone(self):
+        jobs = (make_job("a"), make_job("b"))
+        wl = WorkloadSpec(jobs=jobs)
+        assert wl.job("b") is jobs[1]
+        assert wl._job_index is wl._job_index
+        assert wl == WorkloadSpec(jobs=jobs)
+        assert hash(wl) == hash(WorkloadSpec(jobs=jobs))
+
     def test_shared_input_counted_once(self):
         wl = WorkloadSpec(
             jobs=(make_job("a", gb=100.0), make_job("b", gb=100.0), make_job("c", gb=50.0)),
