@@ -83,7 +83,6 @@ def plan_workload(
     replicas: int = 8,
     progress: Optional[Any] = None,
     progress_every: int = 500,
-    initial_plan: Optional[TieringPlan] = None,
 ) -> PlanningOutcome:
     """Profile, solve and evaluate a workload in one call.
 
@@ -97,9 +96,6 @@ def plan_workload(
     few hundred jobs.  ``progress`` receives sampled
     :class:`repro.obs.SolverProgress` snapshots every
     ``progress_every`` iterations (``cast-plan plan --trace-solver``).
-    ``initial_plan`` warm-starts the search from a previous best plan
-    instead of the Algorithm 2 seed — the streaming session layer's
-    millisecond re-plans (:mod:`repro.session`) ride on this.
     """
     provider = provider or google_cloud_2015()
     cluster = ClusterSpec(n_vms=n_vms, vm=provider.default_vm)
@@ -115,8 +111,7 @@ def plan_workload(
         replicas=replicas,
     )
     result = solver.solve(
-        workload, initial=initial_plan,
-        progress=progress, progress_every=progress_every,
+        workload, progress=progress, progress_every=progress_every
     )
     evaluation = solver.evaluate(workload, result.best_state, reuse_aware=True)
     return PlanningOutcome(plan=result.best_state, evaluation=evaluation, solver=solver)

@@ -40,7 +40,7 @@ from .cost import CostBreakdown, deployment_cost
 from .evaluator import PlanMove
 from .perf_model import estimate_job, staging_seconds
 from .plan import Placement, TieringPlan
-from .solver import CAPACITY_MULTIPLIERS, CastSolver
+from .solver import CAPACITY_MULTIPLIERS, CastSolver, coplace_reuse_sets
 from .utility import evaluate_plan, per_vm_capacity
 
 __all__ = [
@@ -257,17 +257,7 @@ class CastPlusPlus(CastSolver):
 
     def initial_plan(self, workload: WorkloadSpec) -> TieringPlan:
         """Greedy seed with Constraint 7 repaired (sets co-placed)."""
-        plan = super().initial_plan(workload)
-        placements = plan.placements
-        changes = [
-            (jid, Placement(
-                tier=placements[entry.members[0]].tier,
-                capacity_gb=placements[jid].capacity_gb,
-            ))
-            for entry in workload.reuse_table
-            for jid in entry.members[1:]
-        ]
-        return plan.with_placements(changes) if changes else plan
+        return coplace_reuse_sets(super().initial_plan(workload), workload)
 
     # -- Enhancement 2: workflow awareness ----------------------------------
 

@@ -362,9 +362,7 @@ class PlanEvaluator:
 
     _COMPACT_RETIRED = 512
 
-    def update_workload(
-        self, workload: WorkloadSpec, appended_only: bool = False
-    ) -> None:
+    def update_workload(self, workload: WorkloadSpec) -> None:
         """Rebase the evaluator onto a new workload (streaming deltas).
 
         Static terms are computed only for newly arrived jobs; departed
@@ -377,22 +375,9 @@ class PlanEvaluator:
 
         A surviving job id must keep its spec: estimates are memoized by
         id, so mutating a job in place would serve stale cache entries.
-
-        ``appended_only`` is a caller promise that the new workload is
-        the old one with jobs *appended* (nothing removed, nothing
-        reordered), so only the new tail is examined.  The prefix length
-        is checked; the per-id order is trusted — pass it only when the
-        delta really was append-only (the session's ``add_jobs`` path).
         """
         old_by_id = self._job_by_id
         new_jobs = workload.jobs
-        if appended_only and len(new_jobs) >= len(self._jobs):
-            appended = new_jobs[len(self._jobs):]
-            if all(j.job_id not in old_by_id for j in appended):
-                for job in appended:
-                    self._admit_job(job)
-                self._rebased(workload)
-                return
         for job in new_jobs:
             old = old_by_id.get(job.job_id)
             if old is None:
@@ -406,14 +391,11 @@ class PlanEvaluator:
         for jid in [jid for jid in old_by_id if jid not in new_ids]:
             self._unregister_job(jid)
             del old_by_id[jid]
-        self._rebased(workload)
-        self._compact_retired()
-
-    def _rebased(self, workload: WorkloadSpec) -> None:
         self.workload = workload
         self._jobs = workload.jobs
         self._base = _BaseState()
         self._pending = None
+        self._compact_retired()
 
     def _compact_retired(self) -> None:
         if len(self._retired) >= self._COMPACT_RETIRED:
@@ -446,9 +428,12 @@ class PlanEvaluator:
         utility is bit-identical to ``reset(plan)`` after
         ``update_workload``.
 
-        Caller contract (the session's ``_warm_plan`` guarantees it;
-        violations would silently break parity, which the session's
-        periodic ``verify_parity`` check would then trip):
+        Caller contract (a plan from
+        :func:`~repro.core.solver.rebase_plan` over the base plan
+        guarantees it when every survivor kept its ``Placement``, which
+        is when :meth:`~repro.core.solver.CastSolver.warm_solve` takes
+        this path; violations would silently break parity, which the
+        session's periodic ``verify_parity`` check would then trip):
 
         * ``workload`` is the previous workload with ``removed`` ids
           dropped (survivors keep relative order) and ``added`` jobs
@@ -457,13 +442,11 @@ class PlanEvaluator:
           placements dropped/appended — surviving jobs keep their
           ``Placement`` objects and relative plan order.
 
-        Falls back to ``update_workload`` + ``reset`` when there is no
-        base yet.  Returns the utility of ``plan``.
+        Needs a base (``reset`` first).  Returns the utility of ``plan``.
         """
         base = self._base
         if base.plan is None:
-            self.update_workload(workload, appended_only=not removed)
-            return self.reset(plan)
+            raise PlanError("apply_workload_delta: no base plan; reset first")
         self._pending = None
         placements = plan.placements
         if len(placements) != len(workload.jobs):
@@ -1187,6 +1170,31 @@ class PlanEvaluator:
         base.billed = pending.billed
         base.evaluation = None  # rebuilt lazily by last_evaluation
         self._pending = None
+
+    def promote(self, best: TieringPlan) -> None:
+        """Move the base onto ``best``, a plan over the same jobs.
+
+        The annealer leaves the base at its *last accepted* plan, which
+        may trail the best one.  Rather than a full O(N) re-evaluation,
+        diff the two plans — ``with_placements`` shares untouched
+        ``Placement`` objects, so an identity scan finds the changed
+        jobs — and promote the best plan through the delta ``propose``
+        path, which is bit-identical to a full re-score by the parity
+        guarantee.
+        """
+        base_plan = self._base.plan
+        if base_plan is best:
+            return
+        if base_plan is None or base_plan.placements.keys() != best.placements.keys():
+            self.reset(best)
+            return
+        base_pl = base_plan.placements
+        changes = tuple(
+            (jid, p) for jid, p in best.placements.items()
+            if base_pl[jid] is not p
+        )
+        self.propose(best, PlanMove(changes))
+        self.accept()
 
     # -- introspection ----------------------------------------------------------
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from operator import is_
+from typing import AbstractSet, Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -25,17 +26,128 @@ from ..obs.metrics import get_registry
 from ..obs.progress import SolverProgress
 from ..obs.tracing import span as _span
 from ..profiler.models import ModelMatrix
-from ..workloads.spec import WorkloadSpec
+from ..workloads.spec import JobSpec, WorkloadSpec
 from .annealing import AnnealingResult, AnnealingSchedule, Neighbor, simulated_annealing
 from .evaluator import PlanEvaluator, PlanMove
 from .greedy import greedy_exact_fit
 from .plan import Placement, TieringPlan
 from .utility import PlanEvaluation, evaluate_plan
 
-__all__ = ["CastSolver", "CAPACITY_MULTIPLIERS", "solve_workload_request"]
+__all__ = [
+    "CastSolver",
+    "CAPACITY_MULTIPLIERS",
+    "coplace_reuse_sets",
+    "rebase_plan",
+    "solve_workload_request",
+    "table2_tier",
+]
 
 #: Capacity over-provisioning levels the solver may try per job.
 CAPACITY_MULTIPLIERS: Tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
+
+
+def table2_tier(job: JobSpec, available: AbstractSet[Tier]) -> Tier:
+    """Table 2 placement for one job: CPU-bound → persHDD, shuffle-heavy
+    → persSSD, map-I/O-bound → objStore, else the first catalog tier."""
+    app = job.app
+    if app.cpu_intensive and Tier.PERS_HDD in available:
+        return Tier.PERS_HDD
+    if app.io_intensive_shuffle and Tier.PERS_SSD in available:
+        return Tier.PERS_SSD
+    if app.io_intensive_map and Tier.OBJ_STORE in available:
+        return Tier.OBJ_STORE
+    return next(iter(sorted(available, key=lambda t: t.value)))
+
+
+def coplace_reuse_sets(plan: TieringPlan, workload: WorkloadSpec) -> TieringPlan:
+    """Constraint 7 repair: move every reuse-set member that sits off
+    its set's tier (the first sorted member's) onto it, keeping its
+    capacity.  Returns ``plan`` itself when every set is co-placed."""
+    placements = plan.placements
+    changes = []
+    for entry in workload.reuse_table:
+        tier = placements[entry.members[0]].tier
+        for jid in entry.members[1:]:
+            p = placements[jid]
+            if p.tier is not tier:
+                changes.append((jid, Placement(tier=tier, capacity_gb=p.capacity_gb)))
+    return plan.with_placements(changes) if changes else plan
+
+
+def rebase_plan(
+    incumbent: TieringPlan,
+    workload: WorkloadSpec,
+    provider: CloudProvider,
+    reuse_aware: bool,
+) -> TieringPlan:
+    """An incumbent plan carried onto ``workload`` and ``provider``.
+
+    The warm-start seed of sessions and sweeps.  Per job, in workload
+    order: the incumbent's ``Placement`` object is kept when its tier
+    is in the catalog (a catalog lacking it falls through to the next
+    rule); otherwise the job joins an already-placed reuse mate's tier,
+    else its Table 2 tier.  Capacities are floored at the Eq. 3
+    footprint.  Reuse-aware solvers then get :func:`coplace_reuse_sets`,
+    a no-op on plans that already satisfy Constraint 7.
+
+    Keeping the ``Placement`` objects is what lets
+    :meth:`~repro.core.evaluator.PlanEvaluator.apply_workload_delta`
+    and :meth:`~repro.core.evaluator.PlanEvaluator.promote` find the
+    changed jobs by identity.
+    """
+    available = set(provider.tiers)
+    kept = incumbent.placements.get
+    placements: Dict[str, Placement] = {}
+    for job in workload.jobs:
+        jid = job.job_id
+        p = kept(jid)
+        if p is None or p.tier not in available:
+            tier: Optional[Tier] = None
+            rs = workload.reuse_set_of(jid)
+            if rs is not None:
+                for mate in sorted(rs.job_ids):
+                    q = placements.get(mate)
+                    if q is not None:
+                        tier = q.tier
+                        break
+            if tier is None:
+                tier = table2_tier(job, available)
+            p = Placement(tier=tier, capacity_gb=job.footprint_gb)
+        elif p.capacity_gb + 1e-9 < job.footprint_gb:
+            p = Placement(tier=p.tier, capacity_gb=job.footprint_gb)
+        placements[jid] = p
+    plan = TieringPlan(placements=placements)
+    return coplace_reuse_sets(plan, workload) if reuse_aware else plan
+
+
+def _hand_off(
+    evaluator: PlanEvaluator, workload: WorkloadSpec, plan: TieringPlan
+) -> float:
+    """Move ``evaluator``'s base onto ``plan`` over ``workload``.
+
+    The same workload is a plain ``reset``.  A plan that only dropped
+    jobs from the base and appended arrivals at the workload's end,
+    every survivor keeping its ``Placement`` object, takes the
+    delta-scoped ``apply_workload_delta``; any other change is
+    ``update_workload`` + ``reset``.  Returns the utility of ``plan``.
+    """
+    if evaluator.workload is workload:
+        return evaluator.reset(plan)
+    base = evaluator.base_plan
+    if base is not None:
+        old = base.placements
+        new = plan.placements
+        arriving = new.keys() - old.keys()
+        added = workload.jobs[len(workload.jobs) - len(arriving):]
+        # Survivors compare their Placement with the base's; arrivals
+        # compare with themselves through the ``get`` default.
+        if all(map(is_, map(old.get, new, new.values()), new.values())) and all(
+            job.job_id in arriving for job in added
+        ):
+            removed = sorted(old.keys() - new.keys())
+            return evaluator.apply_workload_delta(workload, plan, added, removed)
+    evaluator.update_workload(workload)
+    return evaluator.reset(plan)
 
 
 @dataclass
@@ -205,20 +317,42 @@ class CastSolver:
     def _table2_seed(self, workload: WorkloadSpec) -> TieringPlan:
         """Per-app placement from the Table 2 phase characteristics."""
         available = set(self.provider.tiers)
-
-        def tier_for(job) -> Tier:
-            app = job.app
-            if app.cpu_intensive and Tier.PERS_HDD in available:
-                return Tier.PERS_HDD
-            if app.io_intensive_shuffle and Tier.PERS_SSD in available:
-                return Tier.PERS_SSD
-            if app.io_intensive_map and Tier.OBJ_STORE in available:
-                return Tier.OBJ_STORE
-            return next(iter(sorted(available, key=lambda t: t.value)))
-
         return TieringPlan.exact_fit(
-            workload, {j.job_id: tier_for(j) for j in workload.jobs}
+            workload, {j.job_id: table2_tier(j, available) for j in workload.jobs}
         )
+
+    def warm_solve(
+        self,
+        workload: WorkloadSpec,
+        incumbent: TieringPlan,
+        evaluator: PlanEvaluator,
+        schedule: AnnealingSchedule,
+        *,
+        neighbor_fn: Optional[Callable[..., Neighbor[TieringPlan]]] = None,
+        bar: Optional[float] = None,
+    ) -> Tuple[float, Optional[AnnealingResult[TieringPlan]]]:
+        """Algorithm 2 seeded with an incumbent instead of ``P-hat_init``.
+
+        The one warm start of streaming sessions and sweeps: rebase
+        ``incumbent`` onto ``workload`` (:func:`rebase_plan`), move the
+        persistent ``evaluator``'s base onto that plan, run the short
+        ``schedule`` from it, and promote the best plan found into the
+        evaluator's base.  When the rebased plan scores below ``bar``
+        the search is skipped and the result is ``None`` — the caller
+        then runs its full-budget solve.
+
+        Returns ``(rebased plan's utility, result)``.
+        """
+        start = rebase_plan(incumbent, workload, self.provider, self._reuse_aware)
+        utility = _hand_off(evaluator, workload, start)
+        if bar is not None and utility < bar:
+            return utility, None
+        result = self.solve(
+            workload, initial=start, schedule=schedule,
+            evaluator=evaluator, neighbor_fn=neighbor_fn,
+        )
+        evaluator.promote(result.best_state)
+        return utility, result
 
     def solve(
         self,
@@ -246,11 +380,10 @@ class CastSolver:
         :class:`PlanEvaluator` whose memo caches carry over (its
         workload/reuse-awareness must match; the annealer ``reset``\\ s
         it on the initial plan unless its base already *is* that plan,
-        so a stale base is harmless).  Both are
-        the warm-start seams the streaming session layer uses; the
-        evaluator and ``neighbor_fn`` (a pre-built
-        :meth:`neighbor_moves` closure) overrides apply to the
-        incremental ``anneal`` path only.
+        so a stale base is harmless).  Both are the seams
+        :meth:`warm_solve` uses; the evaluator and ``neighbor_fn`` (a
+        pre-built :meth:`neighbor_moves` closure) overrides apply to
+        the incremental ``anneal`` path only.
         """
         with _span(
             "solver.solve",
@@ -281,24 +414,11 @@ class CastSolver:
             from .tempering import solve_tempering  # late: avoids cycle
 
             self.last_tempering = None
-            if schedule is None:
-                return solve_tempering(
-                    self, workload, initial=initial,
-                    record_trajectory=record_trajectory,
-                    progress=progress, progress_every=progress_every,
-                )
-            # solve_tempering reads the ladder's base schedule off the
-            # solver; swap it in for the duration of this run only.
-            saved = self.schedule
-            self.schedule = sched
-            try:
-                return solve_tempering(
-                    self, workload, initial=initial,
-                    record_trajectory=record_trajectory,
-                    progress=progress, progress_every=progress_every,
-                )
-            finally:
-                self.schedule = saved
+            return solve_tempering(
+                self, workload, sched, initial=initial,
+                record_trajectory=record_trajectory,
+                progress=progress, progress_every=progress_every,
+            )
         if self.backend != "anneal":
             raise SolverError(f"unknown solver backend: {self.backend!r}")
         self.last_tempering = None
@@ -382,7 +502,6 @@ def solve_workload_request(
     use_castpp: bool = True,
     backend: str = "anneal",
     replicas: int = 8,
-    initial_plan: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Solve one workload request end to end, primitives in, primitives out.
 
@@ -390,10 +509,6 @@ def solve_workload_request(
     types, and the function is module-level, so it pickles cleanly into
     a ``ProcessPoolExecutor`` worker (the planner service's multi-start
     pool) and needs no shared state with the parent process.
-
-    ``initial_plan`` optionally warm-starts the annealer from a
-    schema-v1 tiering-plan dict (the previous best plan of a streaming
-    session, say) instead of the Algorithm 2 seed.
 
     Raises :class:`~repro.errors.CastError` subclasses for malformed
     workloads, unknown providers, or infeasible solves — callers map
@@ -413,10 +528,6 @@ def solve_workload_request(
         seed=int(seed),
         backend=str(backend),
         replicas=int(replicas),
-        initial_plan=(
-            TieringPlan.from_dict(dict(initial_plan))
-            if initial_plan is not None else None
-        ),
     )
     ev = outcome.evaluation
     evaluator = outcome.solver.last_evaluator

@@ -324,6 +324,7 @@ def parallel_tempering(
 def solve_tempering(
     solver: Any,
     workload: WorkloadSpec,
+    schedule: AnnealingSchedule,
     initial: Optional[TieringPlan] = None,
     record_trajectory: bool = False,
     progress: Optional[Callable[[SolverProgress], None]] = None,
@@ -332,7 +333,8 @@ def solve_tempering(
     """Run the tempering backend for a `CastSolver`/`CastPlusPlus`.
 
     Builds the tensor model matching the solver's world view, searches
-    with :func:`parallel_tempering`, then decodes the best plan and
+    with :func:`parallel_tempering` from ``schedule`` (the ladder's
+    base schedule), then decodes the best plan and
     re-scores it through the canonical
     :func:`~repro.core.utility.evaluate_plan` — the reported
     ``best_utility`` (and any metrics derived from the plan) are
@@ -352,7 +354,7 @@ def solve_tempering(
         model,
         tier0,
         lvl0,
-        solver.schedule,
+        schedule,
         seed=solver.seed,
         replicas=solver.replicas,
         group_moves=solver._reuse_aware,

@@ -45,11 +45,6 @@ __all__ = ["SessionManager", "normalize_open_params", "normalize_delta_params"]
 
 #: SessionConfig fields settable over the wire (all ints/floats).
 _CONFIG_KEYS = (
-    "warm_iterations_per_change",
-    "warm_iterations_min",
-    "warm_iterations_max",
-    "warm_temp_init",
-    "warm_cooling_rate",
     "drift_threshold",
     "drift_window",
     "full_solve_every",

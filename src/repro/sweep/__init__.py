@@ -13,7 +13,6 @@ from .engine import (
     SweepEngine,
     SweepPointResult,
     SweepResult,
-    transfer_plan,
 )
 from .grid import SweepPoint, plan_grid
 
@@ -24,5 +23,4 @@ __all__ = [
     "SweepPointResult",
     "SweepResult",
     "plan_grid",
-    "transfer_plan",
 ]

@@ -20,12 +20,13 @@ whose optimum is a near-neighbor of one the sweep already solved.
   process-wide via :func:`~repro.core.tensor_eval.bandwidth_tensor` /
   :func:`~repro.core.tensor_eval.job_statics`.
 * **Warm-start transfer.**  Each non-anchor point seeds its search
-  from the remapped incumbent of its grid donor
-  (:func:`transfer_plan`), runs a short low-temperature schedule (the
-  PR 8 session recipe), and *falls back to the full budget* whenever
-  the transferred plan scores worse than the Algorithm 2 seed — so a
-  bad transfer can cost at most one extra plan evaluation, never
-  quality.
+  from its grid donor's incumbent through the warm start streaming
+  sessions use (:meth:`~repro.core.solver.CastSolver.warm_solve`, which
+  remaps the plan with :func:`~repro.core.solver.rebase_plan`), runs a
+  short low-temperature schedule, and *falls back to the full budget*
+  whenever the transferred plan scores worse than the Algorithm 2
+  seed — so a bad transfer can cost at most one extra plan
+  evaluation, never quality.
 * **Fan-out with fingerprint dedup.**  Waves of the donor DAG fan out
   over the process-pool :class:`~repro.experiments.runner.ExperimentRunner`;
   literal duplicate points (same canonical fingerprint) are solved
@@ -45,10 +46,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cloud import ClusterSpec, CloudProvider, resolve_provider
+from ..cloud import ClusterSpec, resolve_provider
 from ..core import AnnealingSchedule, CastPlusPlus, CastSolver, TieringPlan
-from ..core.evaluator import PlanEvaluator
-from ..core.plan import Placement
 from ..errors import SolverError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
@@ -61,13 +60,21 @@ __all__ = [
     "SweepPointResult",
     "SweepResult",
     "SweepEngine",
-    "transfer_plan",
 ]
+
+#: Warm transfers run cool and short: a fraction of the point's full
+#: budget (transfers that cross catalogs land farther from the optimum
+#: and get more), at least ``WARM_ITERATIONS_MIN`` iterations.
+WARM_FRAC = 0.08
+WARM_FRAC_CROSS = 0.25
+WARM_ITERATIONS_MIN = 96
+WARM_TEMP_INIT = 0.05
+WARM_COOLING_RATE = 0.95
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Solver and warm-transfer knobs shared by the whole sweep."""
+    """Solver knobs shared by the whole sweep."""
 
     n_vms: int = 25
     iterations: int = 3000
@@ -78,22 +85,6 @@ class SweepConfig:
     #: ``False`` solves every point cold at full budget — the engine
     #: then only amortizes shared structure (the benchmark's ablation).
     warm: bool = True
-    #: Warm budget as a fraction of the point's full budget; transfers
-    #: that cross catalogs land farther from the optimum and get more.
-    warm_frac: float = 0.08
-    warm_frac_cross: float = 0.25
-    warm_iterations_min: int = 96
-    warm_temp_init: float = 0.05
-    warm_cooling_rate: float = 0.95
-
-    def warm_schedule(self, iterations: int, cross: bool) -> AnnealingSchedule:
-        frac = self.warm_frac_cross if cross else self.warm_frac
-        budget = max(self.warm_iterations_min, int(round(iterations * frac)))
-        return AnnealingSchedule(
-            temp_init=self.warm_temp_init,
-            cooling_rate=self.warm_cooling_rate,
-            iter_max=min(budget, iterations),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,37 +189,6 @@ class SweepResult:
         }
 
 
-def transfer_plan(
-    donor: TieringPlan, workload: WorkloadSpec, provider: CloudProvider
-) -> TieringPlan:
-    """Remap a donor incumbent onto a target catalog's tier universe.
-
-    The four storage roles are catalog-invariant, so placements carry
-    over role-for-role; capacities are re-floored at each job's Eq. 3
-    footprint (they already satisfy it when the donor shares the
-    workload, which grid donors always do).  Jobs whose donor tier the
-    target catalog lacks — impossible for the shipped catalogs, kept
-    for partial-catalog safety — fall back to the first available tier.
-    """
-    available = set(provider.tiers)
-    fallback = next(iter(sorted(available, key=lambda t: t.value)))
-    placements = {}
-    donor_pl = donor.placements
-    for job in workload.jobs:
-        p = donor_pl.get(job.job_id)
-        if p is None or p.tier not in available:
-            placements[job.job_id] = Placement(
-                tier=fallback, capacity_gb=job.footprint_gb
-            )
-        elif p.capacity_gb + 1e-9 < job.footprint_gb:
-            placements[job.job_id] = Placement(
-                tier=p.tier, capacity_gb=job.footprint_gb
-            )
-        else:
-            placements[job.job_id] = p
-    return TieringPlan(placements=placements)
-
-
 class _Context:
     """Shared per-(catalog, workload, cluster) solve infrastructure."""
 
@@ -266,19 +226,8 @@ class _Context:
             workload, self.seed_plan, reuse_aware=self.solver._reuse_aware
         ).utility
         self.neighbor_fn = self.solver.neighbor_moves(workload)
-        self.evaluator: Optional[PlanEvaluator] = None
-
-    def score(self, plan: TieringPlan) -> float:
-        """Canonical-parity utility of a plan via the hot evaluator."""
-        ev = self.ensure_evaluator()
-        ev.reset(plan)
-        return ev.base_utility
-
-    def ensure_evaluator(self) -> PlanEvaluator:
-        if self.evaluator is None:
-            self.evaluator = self.solver.make_evaluator(self.workload)
-            self.evaluator.validate_resets = False
-        return self.evaluator
+        self.evaluator = self.solver.make_evaluator(workload)
+        self.evaluator.validate_resets = False
 
     def solve_point(
         self,
@@ -292,27 +241,27 @@ class _Context:
         started = time.perf_counter()
         mode = "cold"
         transfer_utility: Optional[float] = None
-        initial = self.seed_plan
-        sched = AnnealingSchedule(iter_max=point.iterations)
+        result = None
         if config.warm and donor_plan is not None:
-            transfer = transfer_plan(donor_plan, self.workload, self.provider)
-            transfer_utility = self.score(transfer)
-            if transfer_utility >= self.seed_utility:
-                mode = "warm"
-                initial = transfer
-                sched = config.warm_schedule(
-                    point.iterations, point.cross_catalog
-                )
-            else:
-                mode = "fallback"
-        use_incremental = config.backend == "anneal" and solver.incremental
-        result = solver.solve(
-            self.workload,
-            initial=initial,
-            schedule=sched,
-            evaluator=self.ensure_evaluator() if use_incremental else None,
-            neighbor_fn=self.neighbor_fn if use_incremental else None,
-        )
+            frac = WARM_FRAC_CROSS if point.cross_catalog else WARM_FRAC
+            budget = max(WARM_ITERATIONS_MIN, int(round(point.iterations * frac)))
+            sched = AnnealingSchedule(
+                temp_init=WARM_TEMP_INIT, cooling_rate=WARM_COOLING_RATE,
+                iter_max=min(budget, point.iterations),
+            )
+            transfer_utility, result = solver.warm_solve(
+                self.workload, donor_plan, self.evaluator, sched,
+                neighbor_fn=self.neighbor_fn, bar=self.seed_utility,
+            )
+            mode = "fallback" if result is None else "warm"
+        if result is None:
+            result = solver.solve(
+                self.workload,
+                initial=self.seed_plan,
+                schedule=AnnealingSchedule(iter_max=point.iterations),
+                evaluator=self.evaluator,
+                neighbor_fn=self.neighbor_fn,
+            )
         best = result.best_state
         reference = solver.evaluate(
             self.workload, best, reuse_aware=solver._reuse_aware

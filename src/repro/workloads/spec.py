@@ -106,9 +106,12 @@ class JobSpec:
         """Output volume (``output_i``)."""
         return self.app.output_gb(self.input_gb)
 
-    @property
+    @cached_property
     def footprint_gb(self) -> float:
-        """Eq. 3 capacity floor: input + intermediate + output."""
+        """Eq. 3 capacity floor: input + intermediate + output.
+
+        Cached on the (immutable) spec: plan rebases and neighbor
+        closures read it for every job."""
         return self.input_gb + self.intermediate_gb + self.output_gb
 
     @staticmethod
@@ -227,10 +230,12 @@ class WorkloadSpec:
         """Per reuse set, in declaration order: sorted members, shared
         dataset size and lifetime window — what the reuse-aware
         objective reads on every evaluation."""
-        index = self._job_index
         table = []
         for rs in self.reuse_sets:
             members = tuple(sorted(rs.job_ids))
+            # Looked up here, not before the loop: sessions build a spec
+            # per delta, most without reuse sets, and skip the index.
+            index = self._job_index
             table.append(ReuseEntry(
                 members=members,
                 shared_gb=max(index[j].input_gb for j in members),

@@ -370,6 +370,17 @@ class TestSessionReplay:
         assert payload["summary"]["resident_jobs"] == 9
         assert "plan" not in payload["summary"]
 
+    def test_removed_config_key_fails_cleanly(self, capsys, tmp_path):
+        from repro.session import save_trace
+
+        path = tmp_path / "old.json"
+        save_trace(str(path), {"config": {"warm_temp_init": 0.1}}, [])
+        rc = main(["session", "--replay", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "warm_temp_init" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_trace_fails_cleanly(self, capsys, tmp_path):
         rc = main(["session", "--replay", str(tmp_path / "nope.json")])
         assert rc == 2

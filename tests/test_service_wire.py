@@ -82,6 +82,11 @@ PROBES = {
         "WorkloadError",
     ),
     "over_long_line": (b"x" * (MAX_LINE_BYTES + 1) + b"\n", "ProtocolError"),
+    # Warm-schedule knobs are solver constants, not session config.
+    "session_open_removed_config_key": (
+        line(op="session_open", params={"config": {"warm_temp_init": 0.1}}),
+        "ProtocolError",
+    ),
 }
 
 

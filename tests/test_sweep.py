@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cloud import resolve_provider
+from repro.core.solver import rebase_plan
 from repro.errors import SolverError
 from repro.sweep import (
     SweepConfig,
     SweepEngine,
     plan_grid,
-    transfer_plan,
 )
 from repro.workloads.swim import synthesize_small_workload
 
@@ -107,7 +107,7 @@ class TestTransferPlan:
         w = small()
         prov = resolve_provider("google")
         donor = plan_workload(w, n_vms=6, provider=prov, iterations=100).plan
-        moved = transfer_plan(donor, w, prov)
+        moved = rebase_plan(donor, w, prov, reuse_aware=True)
         assert moved.placements == donor.placements
 
     def test_cross_catalog_transfer_validates(self):
@@ -119,7 +119,7 @@ class TestTransferPlan:
         ).plan
         for name in ("aws", "azure"):
             prov = resolve_provider(name)
-            moved = transfer_plan(donor, w, prov)
+            moved = rebase_plan(donor, w, prov, reuse_aware=True)
             moved.validate(w, prov)  # must not raise
             for job in w.jobs:
                 p = moved.placement(job.job_id)
