@@ -10,7 +10,13 @@ iterations/second, the speedup, and the evaluator's cache counters
 
 Parity is asserted, not just measured: for every configuration the two
 paths must produce the *same* best utility, the *same* best plan and
-the *same* acceptance count, or the script exits non-zero.  Timing
+the *same* acceptance count, or the script exits non-zero.  Each row
+also times the solve set-up — the Algorithm 2 seed
+(``initial_plan``), evaluator construction and its baseline
+``reset`` — with the greedy memo cleared, so a row shows what a new
+request pays; the greedy seed inside it must equal a job-by-job
+Algorithm 1 loop, and a mismatch fails the row like any other parity
+break.  Timing
 never fails the run (CI boxes are noisy); parity always does — with
 one deliberate exception: the observability overhead gate.
 
@@ -65,7 +71,9 @@ from repro.cloud.aws import aws_2015
 from repro.cloud.provider import google_cloud_2015
 from repro.cloud.vm import ClusterSpec
 from repro.core.annealing import AnnealingSchedule
+from repro.core import greedy
 from repro.core.castpp import CastPlusPlus
+from repro.core.plan import Placement
 from repro.core.solver import CastSolver
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -152,6 +160,20 @@ class OperationalLayer:
         }
 
 
+def reference_greedy(workload, cluster, matrix, provider) -> Dict[str, Placement]:
+    """Exact-fit Algorithm 1 scored job by job on every tier."""
+    placements = {}
+    for job in workload.jobs:
+        best, best_u = None, float("-inf")
+        for tier in provider.tiers:
+            placement = Placement(tier=tier, capacity_gb=job.footprint_gb)
+            u = greedy._single_job_utility(job, placement, cluster, matrix, provider)
+            if u > best_u:
+                best, best_u = placement, u
+        placements[job.job_id] = best
+    return placements
+
+
 def bench_one(
     solver_cls, provider, n_jobs: int, iter_max: int,
     obs: Optional[OperationalLayer] = None,
@@ -172,7 +194,22 @@ def bench_one(
         cluster_spec=cluster, matrix=matrix, provider=provider,
         schedule=schedule, seed=SOLVER_SEED, incremental=True,
     )
+    greedy._SOLO_CACHE.clear()
+    t0 = time.perf_counter()
     initial = naive.initial_plan(workload)
+    t1 = time.perf_counter()
+    evaluator = fast.make_evaluator(workload)
+    t2 = time.perf_counter()
+    evaluator.reset(initial)
+    t3 = time.perf_counter()
+    setup = {
+        "seed_seconds": t1 - t0,
+        "evaluator_seconds": t2 - t1,
+        "reset_seconds": t3 - t2,
+    }
+    seed_parity = greedy.greedy_exact_fit(
+        workload, cluster, matrix, provider
+    ).placements == reference_greedy(workload, cluster, matrix, provider)
 
     t0 = time.perf_counter()
     r_naive = naive.solve(workload, initial=initial)
@@ -185,7 +222,8 @@ def bench_one(
         obs.record("plan", naive_s)
         obs.record("plan", fast_s)
     parity = (
-        r_naive.best_utility == r_fast.best_utility
+        seed_parity
+        and r_naive.best_utility == r_fast.best_utility
         and r_naive.best_state.to_dict() == r_fast.best_state.to_dict()
         and r_naive.accepted == r_fast.accepted
     )
@@ -202,6 +240,8 @@ def bench_one(
         "best_utility": r_fast.best_utility,
         "naive_seconds": naive_s,
         "incremental_seconds": fast_s,
+        "setup_seconds": sum(setup.values()),
+        "setup": setup,
         "naive_iters_per_s": iter_max / naive_s,
         "incremental_iters_per_s": iter_max / fast_s,
         "speedup": naive_s / fast_s,
@@ -326,6 +366,9 @@ def main(argv: List[str] | None = None) -> int:
                         for field in ("naive_seconds", "incremental_seconds"):
                             if again[field] < run[field]:
                                 run[field] = again[field]
+                        if again["setup_seconds"] < run["setup_seconds"]:
+                            run["setup_seconds"] = again["setup_seconds"]
+                            run["setup"] = again["setup"]
                         run["naive_iters_per_s"] = (
                             iter_max / run["naive_seconds"]
                         )
@@ -344,6 +387,7 @@ def main(argv: List[str] | None = None) -> int:
                         f"jobs={n_jobs:<3} iters={iter_max:<5} "
                         f"naive={run['naive_seconds']:.3f}s "
                         f"inc={run['incremental_seconds']:.3f}s "
+                        f"setup={run['setup_seconds'] * 1e3:.1f}ms "
                         f"speedup={run['speedup']:.1f}x "
                         f"hit_rate={run['cache_hit_rate']:.2f} "
                         f"avoided={run['evaluations_avoided']}"

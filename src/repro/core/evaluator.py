@@ -23,7 +23,10 @@ even though a neighbor move touches one job (or one app class).
   All jobs of one app on one tier share that id, so when a tier's
   quantized capacity moves, a ``(tier, app)`` group whose id did not
   change is skipped whole, and its members are visited only when it
-  did.
+  did.  The ids are interned once per model matrix, over the
+  bandwidth grid :func:`~repro.core.tensor_eval.bandwidth_tensor`
+  memoizes, and every evaluator over that matrix reads the same
+  read-only table (:func:`bandwidth_ids`).
 * **Static term precomputation.**  The capacity-independent pieces of
   Eq. 1 (wave counts × per-task MB, ephSSD staging seconds) are
   computed once per job at construction; a memo miss costs three
@@ -59,25 +62,97 @@ when the neighbor function supplies moves):
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
-from ..errors import PlanError
-from ..profiler.models import ModelMatrix, PhaseBandwidths, quantize_capacity
+from ..errors import CatalogError, PlanError
+from ..profiler.models import ModelMatrix, quantize_capacity
 from ..units import gb_to_mb
 from ..workloads.spec import WorkloadSpec
 from .cost import CostBreakdown
 from .perf_model import JobEstimate, _effective_waves, staging_seconds
 from .plan import Placement, TieringPlan
+from .tensor_eval import bandwidth_tensor
 from .utility import PlanEvaluation, finalize_plan_metrics, seq_sum
 
-__all__ = ["PlanMove", "PlanEvaluator"]
+__all__ = ["PlanMove", "PlanEvaluator", "bandwidth_ids"]
+
+
+class _BandwidthIds(dict):
+    """Interned bandwidth ids of one model matrix, per (app, tier).
+
+    Entry ``(lo, hi, ids, rows)``: a quantized per-VM capacity ``q``
+    sees grid point ``i = min(max(int(q), lo), hi) - lo`` and the
+    bandwidth id ``ids[i]``, whose (map, shuffle, reduce) values are
+    ``rows[ids[i]]``.  Quantized capacities are whole GB and a profile
+    clamps to its boundary anchors outside the grid, so the grid covers
+    every capacity.  An id is the row of the first grid point of its
+    (app, tier) with equal values: equal bandwidths on one tier share an
+    id, and one app's ids on different tiers never collide.
+    """
+
+    def __init__(self, apps: Sequence[str]) -> None:
+        super().__init__()
+        self.apps = sorted(apps)
+
+    def __missing__(self, key: Tuple[str, Tier]) -> Any:
+        raise CatalogError(
+            f"no profile for app={key[0]!r} on tier={key[1]}; "
+            f"profiled apps: {self.apps}"
+        )
+
+
+#: (id(matrix), tiers) → (weakref(matrix), table), with the identity
+#: guard of :data:`~repro.core.tensor_eval._BW_CACHE`.  A table is
+#: published only once complete and is never mutated afterwards, so
+#: evaluators in concurrent threads read it without a lock; two racing
+#: first builds publish equal tables.
+_BW_IDS: Dict[Tuple[int, Tuple[Tier, ...]], Tuple[Any, _BandwidthIds]] = {}
+_BW_IDS_MAX = 64
+
+
+def bandwidth_ids(matrix: ModelMatrix, tiers: Tuple[Tier, ...]) -> _BandwidthIds:
+    """The shared bandwidth-id table of ``matrix`` over ``tiers``.
+
+    Read from the :func:`~repro.core.tensor_eval.bandwidth_tensor` grid
+    of the matrix's apps × the profiled ``tiers`` (a profiled matrix
+    covers every such pair), so the table adds only the id tuples: at
+    most apps × tiers × grid points per matrix.
+    """
+    key = (id(matrix), tiers)
+    hit = _BW_IDS.get(key)
+    if hit is not None and hit[0]() is matrix:
+        return hit[1]
+    pairs = matrix.pairs
+    apps = tuple(sorted({a for a, _ in pairs}))
+    on = tuple(t for t in tiers if any(t is pt for _, pt in pairs))
+    bwt = bandwidth_tensor(matrix, apps, on)
+    rows = bwt.bw.reshape(-1, 3)
+    table = _BandwidthIds(apps)
+    for a, app in enumerate(apps):
+        for t, tier in enumerate(on):
+            lo, hi = int(bwt.lo[a, t]), int(bwt.hi[a, t])
+            _, first, inverse = np.unique(
+                bwt.bw[a, t, :hi - lo + 1], axis=0,
+                return_index=True, return_inverse=True,
+            )
+            row0 = (a * len(on) + t) * bwt.G
+            ids = (row0 + first[inverse.ravel()]).tolist()
+            table[(app, tier)] = (lo, hi, tuple(ids), rows)
+    try:
+        ref = weakref.ref(matrix)
+    except TypeError:
+        return table
+    if len(_BW_IDS) >= _BW_IDS_MAX:
+        _BW_IDS.clear()
+    _BW_IDS[key] = (ref, table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -173,7 +248,14 @@ class PlanEvaluator:
     workload, cluster, model matrix and provider are fixed and that
     successive proposals are expressed relative to the accepted base
     plan.  It is deliberately not thread-safe — each solver restart
-    (and each pool worker) builds its own.
+    (and each pool worker) builds its own.  Its bandwidth-id table is
+    the exception: one table per model matrix (:func:`bandwidth_ids`),
+    read from the bandwidth grid the tensor model shares, serves every
+    evaluator over that matrix.  The table is complete before it is
+    published and is never written afterwards, so evaluators in
+    concurrent threads (thread-mode pool restarts, sessions on one
+    catalog) share it safely; everything an evaluator writes — its
+    estimate memo, base state and counters — stays its own.
     """
 
     def __init__(
@@ -212,20 +294,11 @@ class PlanEvaluator:
         # capacity-independent: serve them from the static terms.
         static = self._static
         self._download_of = lambda jid: static[jid][4]
-        # Interned bandwidth identities: (app, tier, qpvc) -> id, with
-        # ids shared between lookups that produce equal bandwidth
-        # values on the same tier (flat and saturated profiles).
-        self._bw_ids: Dict[Tuple[str, Tier, float], int] = {}
-        self._bw_vals: Dict[Tuple[Tier, float, float, float], int] = {}
-        self._bw_by_id: List[PhaseBandwidths] = []
-        # Precomputed quantized-capacity bandwidth tables per
-        # (app, tier): quantized capacities are integers, so one
-        # vectorized spline pass covers the whole anchor span and
-        # lookups never touch scipy again.
-        self._bw_tables: Dict[Tuple[str, Tier], Tuple] = {}
         # Per-tier constants on the hot paths: per-VM capacity clamp
         # and the billed-contribution tier relations.
         self._tiers = tuple(provider.tiers)
+        # Interned bandwidth identities, shared read-only per matrix.
+        self._bw = bandwidth_ids(matrix, self._tiers)
         self._max_pvc: Dict[Tier, float] = {}
         self._tier_rel: Dict[Tier, Tuple[Optional[Tier], Optional[Tier]]] = {}
         for tier in self._tiers:
@@ -542,7 +615,6 @@ class PlanEvaluator:
 
         # Re-key groups on contended tiers whose bandwidth id moved,
         # then key the arrivals that pass left alone.
-        bw_ids = self._bw_ids
         tot_cache = self._tot_cache
         keyed: set = set()
         for tier, old_qp in touched.items():
@@ -550,9 +622,7 @@ class PlanEvaluator:
             if qp is None or qp == old_qp:
                 continue
             for app, members in groups[tier].items():
-                bid = bw_ids.get((app, tier, qp))
-                if bid is None:
-                    bid = self._bw_id(app, tier, qp)
+                bid = self._bw_id(app, tier, qp)
                 if bid == gid.get((tier, app)):
                     continue
                 gid[(tier, app)] = bid
@@ -639,49 +709,11 @@ class PlanEvaluator:
 
     # -- memoized job estimation ------------------------------------------------
 
-    def _bw_table(self, app_name: str, tier: Tier) -> Tuple:
-        """Quantized-capacity bandwidth table for one (app, tier).
-
-        Quantized per-VM capacities are whole GB, so the profile's
-        whole anchor span is covered by one vectorized spline pass
-        over the integer grid; below/above the span the spline clamps
-        to its boundary anchors, matching the scalar lookup exactly.
-        """
-        profile = self.matrix.get(app_name, tier)
-        caps = profile.capacities
-        if len(caps) == 1:
-            bw = profile.at(caps[0])
-            return (0, 0, (bw.map_mb_s,), (bw.shuffle_mb_s,), (bw.reduce_mb_s,))
-        lo_i, hi_i = math.floor(caps[0]), math.ceil(caps[-1])
-        grid = np.arange(lo_i, hi_i + 1, dtype=float)
-        m_arr, s_arr, r_arr = profile.at_array(grid)
-        return (lo_i, hi_i, m_arr, s_arr, r_arr)
-
     def _bw_id(self, app_name: str, tier: Tier, qpvc: float) -> int:
         """Interned id of the bandwidths ``(app, tier, qpvc)`` sees."""
-        key = (app_name, tier, qpvc)
-        bid = self._bw_ids.get(key)
-        if bid is None:
-            table = self._bw_tables.get((app_name, tier))
-            if table is None:
-                table = self._bw_table(app_name, tier)
-                self._bw_tables[(app_name, tier)] = table
-            lo_i, hi_i, m_arr, s_arr, r_arr = table
-            i = min(max(int(qpvc), lo_i), hi_i) - lo_i
-            # The max(1e-9, ...) clamp CapacityProfile.at applies.
-            bw = PhaseBandwidths(
-                map_mb_s=max(1e-9, float(m_arr[i])),
-                shuffle_mb_s=max(1e-9, float(s_arr[i])),
-                reduce_mb_s=max(1e-9, float(r_arr[i])),
-            )
-            vkey = (tier, bw.map_mb_s, bw.shuffle_mb_s, bw.reduce_mb_s)
-            bid = self._bw_vals.get(vkey)
-            if bid is None:
-                bid = len(self._bw_by_id)
-                self._bw_vals[vkey] = bid
-                self._bw_by_id.append(bw)
-            self._bw_ids[key] = bid
-        return bid
+        lo, hi, ids, _ = self._bw[(app_name, tier)]
+        i = int(qpvc)
+        return ids[(lo if i < lo else hi if i > hi else i) - lo]
 
     def _tot(self, jid: str, tier: Tier, bid: int) -> float:
         """Total runtime seconds, memoized on the bandwidth identity.
@@ -697,13 +729,13 @@ class PlanEvaluator:
             self.counters["cache_hits"] += 1
             return tot
         self.counters["cache_misses"] += 1
-        _, pre_map, pre_shuffle, pre_reduce, download_s, upload_s = self._static[jid]
-        bw = self._bw_by_id[bid]
+        app, pre_map, pre_shuffle, pre_reduce, download_s, upload_s = self._static[jid]
+        bw_map, bw_shuffle, bw_reduce = self._bw[(app, tier)][3][bid].tolist()
         if tier is not Tier.EPH_SSD:
             download_s = upload_s = 0.0
-        map_s = pre_map / bw.map_mb_s
-        shuffle_s = pre_shuffle / bw.shuffle_mb_s
-        reduce_s = pre_reduce / bw.reduce_mb_s
+        map_s = pre_map / bw_map
+        shuffle_s = pre_shuffle / bw_shuffle
+        reduce_s = pre_reduce / bw_reduce
         # total_s = download + (map + shuffle + reduce) + upload,
         # parenthesized as the property chain evaluates it.
         tot = download_s + (map_s + shuffle_s + reduce_s) + upload_s
@@ -715,17 +747,17 @@ class PlanEvaluator:
         key = (jid, bid)
         est = self._est_objs.get(key)
         if est is None:
-            _, pre_map, pre_shuffle, pre_reduce, download_s, upload_s = self._static[jid]
-            bw = self._bw_by_id[bid]
+            app, pre_map, pre_shuffle, pre_reduce, download_s, upload_s = self._static[jid]
+            bw_map, bw_shuffle, bw_reduce = self._bw[(app, tier)][3][bid].tolist()
             if tier is not Tier.EPH_SSD:
                 download_s = upload_s = 0.0
             est = JobEstimate(
                 job_id=jid,
                 tier=tier,
                 download_s=download_s,
-                map_s=pre_map / bw.map_mb_s,
-                shuffle_s=pre_shuffle / bw.shuffle_mb_s,
-                reduce_s=pre_reduce / bw.reduce_mb_s,
+                map_s=pre_map / bw_map,
+                shuffle_s=pre_shuffle / bw_shuffle,
+                reduce_s=pre_reduce / bw_reduce,
                 upload_s=upload_s,
             )
             self._est_objs[key] = est
@@ -1021,13 +1053,14 @@ class PlanEvaluator:
         tot_new: Dict[int, float] = {}
         gid_new: Dict[Tuple[Tier, str], int] = {}
         base_gid = base.gid
-        bw_ids = self._bw_ids
+        bw = self._bw
         tot_cache = self._tot_cache
         hits = 0
         for tier, ts in tiers.items():
             qp = ts.qpvc
             if qp is None or qp == base.qpvc.get(tier):
                 continue
+            q = int(qp)
             left = leavers.get(tier) or {}
             left_apps: Dict[str, int] = {}
             for jid in left:
@@ -1045,9 +1078,8 @@ class PlanEvaluator:
                 joined = joined_apps.get(app, ())
                 if not joined and len(members) == left_apps.get(app, 0):
                     continue  # the move empties this group
-                bid = bw_ids.get((app, tier, qp))
-                if bid is None:
-                    bid = self._bw_id(app, tier, qp)
+                lo, hi, ids, _ = bw[(app, tier)]
+                bid = ids[(lo if q < lo else hi if q > hi else q) - lo]
                 gid_new[(tier, app)] = bid
                 if bid == base_gid.get((tier, app)):
                     continue
@@ -1067,10 +1099,9 @@ class PlanEvaluator:
                 continue
             tier = p.tier
             app = static[jid][0]
-            qp = tiers[tier].qpvc
-            bid = bw_ids.get((app, tier, qp))
-            if bid is None:
-                bid = self._bw_id(app, tier, qp)
+            lo, hi, ids, _ = bw[(app, tier)]
+            q = int(tiers[tier].qpvc)
+            bid = ids[(lo if q < lo else hi if q > hi else q) - lo]
             if bid == base_gid.get((old_tier, app)):
                 continue
             gid_new[(tier, app)] = bid

@@ -30,16 +30,27 @@ from .utility import per_vm_gb, price_plan
 __all__ = ["greedy_plan", "greedy_exact_fit", "greedy_over_provisioned"]
 
 #: Memo of Algorithm 1's ``Utility(j, f)``.  The stand-alone score is a
-#: pure function of (job, placement, cluster, matrix, provider), and the
-#: exact-fit / over-provisioned passes share most (job, tier, capacity)
-#: combinations — every non-scaling tier provisions the footprint in
-#: both modes — so experiments running both baselines (Table 1, the sim
-#: throughput bench) pay for each solo evaluation once.  Matrix and
-#: provider carry unhashable caches, so they key by identity; the refs
-#: dict keeps them alive so ids cannot be recycled.
+#: pure function of (job shape, placement, cluster, matrix, provider) —
+#: the job id plays no part — so it is keyed by :func:`_shape`, and the
+#: memo holds shapes × placements rather than every job ever seen.  The
+#: exact-fit / over-provisioned passes share most (shape, tier,
+#: capacity) combinations — every non-scaling tier provisions the
+#: footprint in both modes — so experiments running both baselines
+#: (Table 1, the sim throughput bench) pay for each solo evaluation
+#: once.  Matrix and provider carry unhashable caches, so they key by
+#: identity; the refs dict keeps them alive so ids cannot be recycled.
 _SOLO_CACHE: Dict[Tuple[Any, ...], float] = {}
 _SOLO_CACHE_REFS: Dict[int, object] = {}
 _SOLO_CACHE_MAX = 65536
+
+
+def _shape(job: JobSpec) -> Tuple[Any, ...]:
+    """Every :class:`JobSpec` field except ``job_id``.
+
+    Two jobs of one shape have the same footprint and the same
+    stand-alone score on every placement.
+    """
+    return (job.app, job.input_gb, job.n_maps, job.n_reduces)
 
 
 def _single_job_utility(
@@ -58,7 +69,7 @@ def _single_job_utility(
     score is bit-identical.  Callers pass capacities at or above the
     Eq. 3 footprint, so the plan would validate.
     """
-    key = (id(matrix), id(provider), cluster_spec, job, placement)
+    key = (id(matrix), id(provider), cluster_spec, _shape(job), placement)
     hit = _SOLO_CACHE.get(key)
     if hit is None:
         if len(_SOLO_CACHE) >= _SOLO_CACHE_MAX:
@@ -108,6 +119,15 @@ def greedy_plan(
 ) -> TieringPlan:
     """Algorithm 1: per-job best stand-alone tier.
 
+    Jobs are scored per *shape* — every :class:`JobSpec` field except
+    ``job_id`` (app, ``input_gb``, ``n_maps``, ``n_reduces``).  Each
+    shape is scored once per candidate tier, and every job of the
+    shape gets the shape's best tier, at a capacity computed from the
+    job's own footprint.  Jobs of one shape have equal scores on every
+    tier, so the plan is the per-job loop's, at a cost that grows with
+    the number of distinct shapes (at most apps × size bins on a
+    SWIM workload) instead of jobs × tiers.
+
     Parameters
     ----------
     over_provision:
@@ -117,22 +137,29 @@ def greedy_plan(
         Candidate services (defaults to the whole catalog, ``F``).
     """
     candidates = list(tiers) if tiers is not None else list(provider.tiers)
+
+    def capacity(job: JobSpec, tier: Tier) -> float:
+        if over_provision:
+            return _over_provisioned_capacity(job, tier, cluster_spec, provider)
+        return job.footprint_gb
+
+    best_tier: Dict[Tuple[Any, ...], Tier] = {}
     placements: Dict[str, Placement] = {}
     for job in workload.jobs:
-        best_placement = None
-        best_utility = float("-inf")
-        for tier in candidates:
-            cap = (
-                _over_provisioned_capacity(job, tier, cluster_spec, provider)
-                if over_provision
-                else job.footprint_gb
-            )
-            placement = Placement(tier=tier, capacity_gb=cap)
-            utility = _single_job_utility(job, placement, cluster_spec, matrix, provider)
-            if utility > best_utility:
-                best_utility, best_placement = utility, placement
-        assert best_placement is not None
-        placements[job.job_id] = best_placement
+        shape = _shape(job)
+        tier = best_tier.get(shape)
+        if tier is None:
+            best_utility = float("-inf")
+            for cand in candidates:
+                placement = Placement(tier=cand, capacity_gb=capacity(job, cand))
+                utility = _single_job_utility(
+                    job, placement, cluster_spec, matrix, provider
+                )
+                if utility > best_utility:
+                    best_utility, tier = utility, cand
+            assert tier is not None
+            best_tier[shape] = tier
+        placements[job.job_id] = Placement(tier=tier, capacity_gb=capacity(job, tier))
     return TieringPlan(placements=placements)
 
 

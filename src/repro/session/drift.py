@@ -46,7 +46,7 @@ def mix_distance(a: Dict[str, float], b: Dict[str, float]) -> float:
     phase swap à la the fig. 8 phased workloads).
     """
     dist = 0.0
-    for app in set(a) | set(b):
+    for app in sorted(set(a) | set(b)):
         dist += abs(a.get(app, 0.0) - b.get(app, 0.0))
     return 0.5 * dist
 

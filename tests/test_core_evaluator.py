@@ -6,6 +6,12 @@ approximate ones, and the solvers rely on that to produce identical
 plans from identical seeds.
 """
 
+import gc
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +21,18 @@ from repro.cloud.aws import aws_2015
 from repro.cloud.provider import google_cloud_2015
 from repro.cloud.storage import Tier
 from repro.cloud.vm import ClusterSpec
+from repro.core import evaluator as evaluator_mod
 from repro.core.annealing import AnnealingSchedule
 from repro.core.castpp import CastPlusPlus
 from repro.core.evaluator import PlanEvaluator, PlanMove
 from repro.core.plan import Placement, TieringPlan
 from repro.core.solver import CAPACITY_MULTIPLIERS, CastSolver
 from repro.core.utility import evaluate_plan
-from repro.errors import CastError, PlanError
+from repro.errors import CastError, CatalogError, PlanError
+from repro.profiler.models import ModelMatrix
 from repro.profiler.profiler import build_model_matrix
+from repro.service.pool import SolverPool, solve_restart
+from repro.workloads.io import workload_to_dict
 from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
 from repro.workloads.swim import synthesize_facebook_workload, synthesize_small_workload
 
@@ -518,3 +528,143 @@ class TestCounters:
         stats = ev.stats()
         assert stats["jobs_reestimated"] == 0
         assert stats["jobs_skipped"] == len(workload.jobs)
+
+
+# ---------------------------------------------------------------------------
+# The per-matrix bandwidth-id table
+# ---------------------------------------------------------------------------
+
+_SHARED_TABLE_SOLVE = """
+import json
+from repro.core.annealing import AnnealingSchedule
+from repro.core.castpp import CastPlusPlus
+from repro.cloud.provider import google_cloud_2015
+from repro.cloud.vm import ClusterSpec
+from repro.profiler.profiler import build_model_matrix
+from repro.workloads.swim import synthesize_facebook_workload
+
+def shared_table_solve(provider, matrix, cluster):
+    solver = CastPlusPlus(
+        cluster_spec=cluster, matrix=matrix, provider=provider,
+        schedule=AnnealingSchedule(iter_max=400), seed=11,
+    )
+    workload = synthesize_facebook_workload()
+    result = solver.solve(workload)
+    ev = solver.last_evaluator
+    return {
+        "best_utility": result.best_utility.hex(),
+        "base_utility": ev.base_utility.hex(),
+        "accepted": result.accepted,
+        "plan": result.best_state.to_dict(),
+        "stats": ev.stats(),
+    }
+
+if __name__ == "__main__":
+    cluster = ClusterSpec(n_vms=25)
+    provider = google_cloud_2015()
+    matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
+    print(json.dumps(shared_table_solve(provider, matrix, cluster)))
+"""
+
+
+def _shared_table_solve(provider, matrix, cluster):
+    namespace = {}
+    exec(_SHARED_TABLE_SOLVE, namespace)
+    return namespace["shared_table_solve"](provider, matrix, cluster)
+
+
+class TestSharedBandwidthTable:
+    def test_warm_table_solve_equals_cold_subprocess_solve(self):
+        """A solve reading a table other solves built answers exactly
+        what a fresh process, building the table itself, answers."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        out = subprocess.run(
+            [sys.executable, "-c", _SHARED_TABLE_SOLVE],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        cold = json.loads(out.stdout)
+        # Warm the table: other workloads on google, and the aws matrix.
+        for name in ("google", "aws"):
+            provider, matrix = DEPLOYMENTS[name]
+            for seed in (1, 2):
+                CastPlusPlus(
+                    cluster_spec=CLUSTER, matrix=matrix, provider=provider,
+                    schedule=AnnealingSchedule(iter_max=200), seed=seed,
+                ).solve(make_workload(n_jobs=40, seed=seed))
+        provider, matrix = DEPLOYMENTS["google"]
+        warm = _shared_table_solve(provider, matrix, CLUSTER)
+        assert warm == cold
+
+    def test_evaluators_over_one_matrix_share_one_table(self):
+        provider, matrix = DEPLOYMENTS["google"]
+        a = PlanEvaluator(make_workload(), CLUSTER, matrix, provider)
+        b = PlanEvaluator(make_workload(n_jobs=30, seed=4), CLUSTER, matrix, provider)
+        assert a._bw is b._bw
+        aws_provider, aws_matrix = DEPLOYMENTS["aws"]
+        c = PlanEvaluator(make_workload(), CLUSTER, aws_matrix, aws_provider)
+        assert c._bw is not a._bw
+
+    def test_thread_pool_restarts_match_serial_restarts(self):
+        """Two restarts racing on a cold table in thread mode give the
+        restarts' serial answers, counters included."""
+        request = {
+            "op": "plan",
+            "spec": workload_to_dict(synthesize_facebook_workload()),
+            "provider": "google", "n_vms": 25, "iterations": 400,
+            "seed": 5, "use_castpp": True,
+        }
+        evaluator_mod._BW_IDS.clear()
+        pool = SolverPool(processes=0, restarts=2)
+        try:
+            threaded = pool.solve_sync(request)
+        finally:
+            pool.shutdown()
+        serial = [
+            solve_restart(dict(request, seed=s))
+            for s in threaded["restart_seeds"]
+        ]
+        assert threaded["restart_utilities"] == [r["utility"] for r in serial]
+        best = serial[threaded["best_restart"]]
+        assert threaded["plan"] == best["plan"]
+        assert threaded["evaluator"] == {
+            key: sum(r["evaluator"][key] for r in serial)
+            for key in serial[0]["evaluator"]
+        }
+
+    def test_recycled_matrix_id_gets_its_own_table(self):
+        """A dead entry under a new matrix's id — what the cache holds
+        when CPython hands a collected matrix's address to a new one —
+        is rebuilt, not served."""
+        provider, matrix = DEPLOYMENTS["google"]
+        tiers = tuple(provider.tiers)
+        old = _copy_matrix(matrix, skip_app="sort")
+        old_table = evaluator_mod.bandwidth_ids(old, tiers)
+        ref, _ = evaluator_mod._BW_IDS[(id(old), tiers)]
+        del old
+        gc.collect()
+        assert ref() is None
+        new = _copy_matrix(matrix)
+        evaluator_mod._BW_IDS[(id(new), tiers)] = (ref, old_table)
+        table = evaluator_mod.bandwidth_ids(new, tiers)
+        assert table is not old_table
+        assert ("sort", Tier.PERS_SSD) in table
+        assert ("sort", Tier.PERS_SSD) not in old_table
+        assert evaluator_mod.bandwidth_ids(new, tiers) is table
+
+    def test_unprofiled_pair_is_a_catalog_error(self):
+        provider, matrix = DEPLOYMENTS["google"]
+        workload = make_workload()
+        partial = _copy_matrix(matrix, skip_app=workload.jobs[0].app.name)
+        ev = PlanEvaluator(workload, CLUSTER, partial, provider)
+        with pytest.raises(CatalogError, match="no profile"):
+            ev.reset(seed_plan(workload, provider))
+
+
+def _copy_matrix(matrix, skip_app=None):
+    """A new matrix object holding ``matrix``'s profiles."""
+    copy = ModelMatrix()
+    for app, tier in matrix.pairs:
+        if app != skip_app:
+            copy.put(app, tier, matrix.get(app, tier))
+    return copy

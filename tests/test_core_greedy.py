@@ -1,10 +1,17 @@
 """Greedy baselines (Algorithm 1)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.storage import Tier
+from repro.core import greedy
 from repro.core.greedy import greedy_exact_fit, greedy_over_provisioned, greedy_plan
-from repro.workloads.apps import GREP, KMEANS, SORT
+from repro.core.plan import Placement
+from repro.profiler.profiler import Profiler
+from repro.workloads.apps import APP_CATALOG, GREP, JOIN, KMEANS, SORT
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
 
@@ -109,3 +116,127 @@ def test_solo_score_is_the_one_job_evaluate_plan(char_cluster, matrix, provider)
                 ref = evaluate_plan(solo, plan, char_cluster, matrix, provider)
                 got = _single_job_utility(job, placement, char_cluster, matrix, provider)
                 assert got == ref.utility
+
+
+# ---------------------------------------------------------------------------
+# Per-shape scoring: the plan a per-job loop would give
+# ---------------------------------------------------------------------------
+
+#: An app outside the catalog, profiled alongside it.
+CUSTOM = dataclasses.replace(
+    SORT, name="custom", map_selectivity=0.4, cpu_map_mb_s=35.0
+)
+#: Sort's profile name with other data ratios: a different shape.
+SORT_VARIANT = dataclasses.replace(SORT, map_selectivity=0.3, reduce_selectivity=0.5)
+
+
+@pytest.fixture(scope="module")
+def custom_matrix(provider, char_cluster):
+    profiler = Profiler(provider=provider, cluster_spec=char_cluster)
+    return profiler.profile_all(apps=[*APP_CATALOG.values(), CUSTOM])
+
+
+def reference_plan(workload, cluster, matrix, provider, over_provision, tiers):
+    """Algorithm 1 scored job by job: every job on every candidate tier."""
+    candidates = list(tiers) if tiers is not None else list(provider.tiers)
+    placements = {}
+    for job in workload.jobs:
+        greedy._SOLO_CACHE.clear()  # score this job, not a memoized shape
+        best, best_u = None, float("-inf")
+        for tier in candidates:
+            cap = (
+                greedy._over_provisioned_capacity(job, tier, cluster, provider)
+                if over_provision else job.footprint_gb
+            )
+            placement = Placement(tier=tier, capacity_gb=cap)
+            u = greedy._single_job_utility(job, placement, cluster, matrix, provider)
+            if u > best_u:
+                best, best_u = placement, u
+        placements[job.job_id] = best
+    return placements
+
+
+#: Values per JobSpec field other than ``job_id``.
+_FIELDS = (
+    st.sampled_from([SORT, SORT_VARIANT, GREP, JOIN, KMEANS, CUSTOM]),
+    st.sampled_from([3.3, 16.0, 64.0, 250.0, 1700.0]),
+    st.sampled_from([None, 1, 8, 64, 400]),
+    st.sampled_from([None, 1, 4, 16, 60]),
+)
+
+
+def _workload(shapes, picks):
+    return WorkloadSpec(jobs=tuple(
+        JobSpec(job_id=f"j{i:02d}", app=app, input_gb=gb, n_maps=m, n_reduces=r)
+        for i, (app, gb, m, r) in enumerate(shapes[k] for k in picks)
+    ))
+
+
+@st.composite
+def repeated_shape_workloads(draw):
+    """Jobs over a few shapes, each shape one field away from another,
+    so a shape key missing a field would merge two of them."""
+    shapes = [draw(st.tuples(*_FIELDS))]
+    for field in draw(st.lists(st.integers(0, 3), max_size=5)):
+        variant = list(draw(st.sampled_from(shapes)))
+        variant[field] = draw(_FIELDS[field])
+        shapes.append(tuple(variant))
+    picks = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=40))
+    return _workload(shapes, picks)
+
+
+#: Every field decides the best tier here: each variant of the 1.7 TB
+#: sort gets a different tier than the sort itself.
+_ONE_FIELD_APART = _workload(
+    [(SORT, 1700.0, None, None), (SORT, 1700.0, None, 1), (SORT, 1700.0, 1, None),
+     (CUSTOM, 1700.0, None, None), (SORT_VARIANT, 1700.0, None, None),
+     (SORT, 3.3, None, None)],
+    [0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0],
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(workload=_ONE_FIELD_APART, over_provision=False, tiers=None)
+@given(
+    workload=repeated_shape_workloads(),
+    over_provision=st.booleans(),
+    tiers=st.none() | st.lists(
+        st.sampled_from([Tier.EPH_SSD, Tier.PERS_SSD, Tier.PERS_HDD, Tier.OBJ_STORE]),
+        min_size=1, max_size=4, unique=True,
+    ),
+)
+def test_shape_scoring_matches_the_per_job_loop(
+    workload, over_provision, tiers, custom_matrix, char_cluster, provider
+):
+    plan = greedy_plan(
+        workload, char_cluster, custom_matrix, provider,
+        over_provision=over_provision, tiers=tiers,
+    )
+    ref = reference_plan(
+        workload, char_cluster, custom_matrix, provider, over_provision, tiers
+    )
+    assert plan.placements == ref
+
+
+def test_solo_memo_holds_shapes_not_jobs(custom_matrix, char_cluster, provider):
+    """A second workload of the same shapes under new job ids adds no
+    memo entries."""
+    shapes = [(SORT, 64.0, 64, None), (CUSTOM, 250.0, None, 7), (JOIN, 16.0, None, None)]
+
+    def workload(prefix):
+        return WorkloadSpec(jobs=tuple(
+            JobSpec(job_id=f"{prefix}{i}", app=app, input_gb=gb, n_maps=m, n_reduces=r)
+            for i, (app, gb, m, r) in enumerate(shapes * 4)
+        ))
+
+    greedy._SOLO_CACHE.clear()
+    for over_provision in (False, True):
+        greedy_plan(workload("a"), char_cluster, custom_matrix, provider,
+                    over_provision=over_provision)
+    size = len(greedy._SOLO_CACHE)
+    assert size <= 2 * len(shapes) * len(provider.tiers)
+    for over_provision in (False, True):
+        greedy_plan(workload("b"), char_cluster, custom_matrix, provider,
+                    over_provision=over_provision)
+    assert len(greedy._SOLO_CACHE) == size

@@ -7,6 +7,9 @@ modes, parity) plus the service-layer session ops end to end.
 
 import asyncio
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,14 @@ class TestSessionConfig:
             SessionConfig(**bad)
 
 
+_MIX_A = {"grep": 0.1, "join": 0.2, "kmeans": 0.3, "pagerank": 0.15, "sort": 0.25}
+_MIX_B = {"grep": 0.3, "join": 0.1, "kmeans": 0.05, "pagerank": 0.35, "sort": 0.2}
+_MIX_DISTANCE_SCRIPT = f"""
+from repro.session import mix_distance
+print(repr(mix_distance({_MIX_A!r}, {_MIX_B!r})))
+"""
+
+
 class TestDriftDetector:
     def test_mix_is_input_share_per_app(self):
         jobs = [_job("a", GREP, 30.0), _job("b", SORT, 10.0)]
@@ -75,6 +86,21 @@ class TestDriftDetector:
         a = {"grep": 1.0}
         assert mix_distance(a, a) == 0.0
         assert mix_distance(a, {"sort": 1.0}) == 1.0
+
+    def test_distance_is_independent_of_hash_seed(self):
+        # Five apps whose |a - b| terms round differently in different
+        # summation orders: summed over a set of str keys, the last bit
+        # depended on PYTHONHASHSEED.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        values = set()
+        for seed in ("0", "1", "2", "3", "5", "8", "13", "21"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _MIX_DISTANCE_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            values.add(out.stdout.strip())
+        assert values == {repr(mix_distance(_MIX_A, _MIX_B))}
 
     def test_escalates_past_threshold_and_rearms(self):
         det = DriftDetector(threshold=0.5, window=4)
