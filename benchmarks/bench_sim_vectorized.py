@@ -17,7 +17,13 @@ Times ``simulate_batch`` over the same 100-job seed-7 Facebook workload
    results, fast path or not);
 4. **reference fallback** — under ``REPRO_SIM_REFERENCE=1`` the batch
    API must fall back to the event engine wholesale and be *bit-exact*
-   against a serial reference run.
+   against a serial reference run;
+5. **fresh workloads, warm cache** — the planning service's ``whatif``
+   traffic: ``measure_plan`` on the fast path over fresh 100-job SWIM
+   workloads (16; 8 with ``--quick``) under uniform plans, with the
+   cache already warm from 4 earlier workloads.  Reports ms per
+   measurement, and every measurement must be bit-exact against a
+   cache-off pass over the same workloads.
 
 The acceptance target is a >=10x cold-throughput speedup over the
 serial engine baseline; ``meets_target`` lands in the report.  As in
@@ -49,6 +55,9 @@ from conftest import write_bench_report
 from repro.cloud.provider import google_cloud_2015
 from repro.cloud.storage import Tier
 from repro.cloud.vm import ClusterSpec
+from repro.core.plan import TieringPlan
+from repro.experiments.measure import measure_plan
+from repro.experiments.runner import ExperimentRunner
 from repro.simulator import simulate_batch, simulate_job
 from repro.simulator.cache import CACHE_ENV, simulation_cache
 from repro.simulator.storage_backend import REFERENCE_ENV
@@ -65,6 +74,11 @@ WORKLOAD_SEED = 7
 TARGET_SPEEDUP = 10.0
 
 PHASES = ("download_s", "map_s", "reduce_s", "upload_s")
+
+#: Step 5: workloads that warm the cache, then fresh ones to time.
+WARM_WORKLOADS = 4
+FRESH_WORKLOADS = 16
+FRESH_WORKLOADS_QUICK = 8
 
 
 def _set_env(reference: bool, cache: bool) -> None:
@@ -99,6 +113,61 @@ def _bit_exact(a, b) -> Optional[str]:
                     f"{getattr(ra, phase)!r} != {getattr(rb, phase)!r}"
                 )
     return None
+
+
+def _measure_pass(cases, cluster, prov) -> Tuple[List, float]:
+    """``measure_plan`` on the fast path, one runner per measurement
+    (as the service's ``whatif`` op runs it); seconds in total."""
+    out = []
+    t0 = time.perf_counter()
+    for workload, plan in cases:
+        with ExperimentRunner(0, fast_path=True) as runner:
+            out.append(measure_plan(workload, plan, cluster, prov, runner=runner))
+    return out, time.perf_counter() - t0
+
+
+def _measurement_mismatch(a, b) -> Optional[str]:
+    """First float-level difference between two measurement lists."""
+    for ma, mb in zip(a, b):
+        if (ma.makespan_s, ma.cost, ma.utility) != (mb.makespan_s, mb.cost, mb.utility):
+            return f"makespan/cost/utility: {ma.makespan_s!r} != {mb.makespan_s!r}"
+        mismatch = _bit_exact(list(ma.per_job.values()), list(mb.per_job.values()))
+        if mismatch is not None:
+            return mismatch
+    return None
+
+
+def _fresh_workloads_step(n_fresh, cluster, prov, failures) -> dict:
+    """Step 5: time fresh-workload measurements against a warm cache."""
+    rng = np.random.default_rng(WORKLOAD_SEED + 1)
+    tiers = (Tier.EPH_SSD, Tier.PERS_SSD, Tier.PERS_HDD, Tier.OBJ_STORE)
+    cases = []
+    for i in range(WARM_WORKLOADS + n_fresh):
+        workload = synthesize_facebook_workload(rng=rng, name=f"fresh-{i}")
+        cases.append((workload, TieringPlan.uniform(workload, tiers[i % len(tiers)])))
+    warm_cases, fresh_cases = cases[:WARM_WORKLOADS], cases[WARM_WORKLOADS:]
+
+    _set_env(reference=False, cache=False)
+    uncached, uncached_s = _measure_pass(fresh_cases, cluster, prov)
+
+    _set_env(reference=False, cache=True)
+    cache = simulation_cache()
+    cache.clear()
+    _measure_pass(warm_cases, cluster, prov)
+    before = cache.stats()
+    cached, cached_s = _measure_pass(fresh_cases, cluster, prov)
+    after = cache.stats()
+    mismatch = _measurement_mismatch(cached, uncached)
+    if mismatch is not None:
+        failures.append(f"warm-cache measurement is not bit-exact vs cache off: {mismatch}")
+    return {
+        "warm_workloads": WARM_WORKLOADS,
+        "fresh_workloads": n_fresh,
+        "ms_per_measurement": cached_s / n_fresh * 1e3,
+        "ms_per_measurement_cache_off": uncached_s / n_fresh * 1e3,
+        "cache_hits": after["hits"] - before["hits"],
+        "cache_misses": after["misses"] - before["misses"],
+    }
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -163,6 +232,12 @@ def main(argv: List[str] | None = None) -> int:
             f"reference-mode batch is not bit-exact vs the serial "
             f"reference engine: {mismatch}"
         )
+
+    # 5. fresh workloads against a warm cache — the whatif traffic.
+    fresh = _fresh_workloads_step(
+        FRESH_WORKLOADS_QUICK if args.quick else FRESH_WORKLOADS,
+        cluster, prov, failures,
+    )
     _set_env(reference=False, cache=True)
 
     baseline_per_s = n_sims / serial_s
@@ -195,6 +270,7 @@ def main(argv: List[str] | None = None) -> int:
                 "seconds": ref_serial_s,
                 "sims_per_s": n_sims / ref_serial_s,
             },
+            "fresh_workloads_warm_cache": fresh,
         },
         "fastpath": stats,
         "speedup_vs_serial": speedup,
@@ -208,6 +284,8 @@ def main(argv: List[str] | None = None) -> int:
         f"serial={serial_s:.3f}s ({baseline_per_s:.0f}/s)  "
         f"batch={batch_s:.4f}s ({batch_per_s:.0f}/s)  "
         f"cache={cold_s:.4f}s/{warm_s:.4f}s  "
+        f"whatif={fresh['ms_per_measurement']:.2f}ms "
+        f"(cache off {fresh['ms_per_measurement_cache_off']:.2f}ms)  "
         f"speedup={speedup:.0f}x (target {TARGET_SPEEDUP:.0f}x: "
         f"{'met' if speedup >= TARGET_SPEEDUP else 'MISSED'})"
     )

@@ -10,6 +10,7 @@ Eq. 6 storage bill and the REG capacity-scaling lookup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -64,6 +65,8 @@ class Placement:
     capacity_gb: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.capacity_gb):
+            raise PlanError(f"non-finite capacity: {self.capacity_gb}")
         if self.capacity_gb < 0:
             raise PlanError(f"negative capacity: {self.capacity_gb}")
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +42,10 @@ from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..simulator.cache import (
     CACHE_ENV,
+    SimKey,
     cache_enabled,
     job_sim_fingerprint,
+    sim_key_context,
     simulation_cache,
 )
 from ..simulator.engine import (
@@ -304,10 +306,11 @@ class ExperimentRunner:
             return self._run_chunks(items, cluster_spec, provider, env, fast)
 
         cache = simulation_cache()
-        known: Dict[str, Optional[JobSimResult]] = {}
-        item_keys: List[str] = []
+        context = sim_key_context(cluster_spec, provider)
+        known: Dict[SimKey, Optional[JobSimResult]] = {}
+        item_keys: List[SimKey] = []
         pending_items: List[JobSim] = []
-        pending: Dict[str, int] = {}
+        pending: Dict[SimKey, int] = {}
         for job, tier, caps in items:
             rcaps, placement, out_tier = resolve_sim_inputs(
                 job, tier, cluster_spec, provider, per_vm_capacity_gb=caps
@@ -316,6 +319,7 @@ class ExperimentRunner:
                 job, tier, cluster_spec, provider, rcaps, out_tier,
                 stage_in=True, stage_out=True,
                 placement_tiers=None if placement is None else tuple(placement.tiers),
+                context=context,
             )
             item_keys.append(key)
             if key in known or key in pending:
@@ -347,9 +351,7 @@ class ExperimentRunner:
         for (job, _tier, _caps), key in zip(items, item_keys):
             res = known[key]
             assert res is not None
-            results.append(
-                res if res.job_id == job.job_id else replace(res, job_id=job.job_id)
-            )
+            results.append(res.for_job(job.job_id))
         return results
 
     def _run_chunks(

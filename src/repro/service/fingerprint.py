@@ -20,6 +20,7 @@ import hashlib
 import json
 from typing import Any, Dict, Mapping, Optional
 
+from ..core.plan import TieringPlan
 from ..errors import WorkloadError
 from ..workloads.io import (
     workflow_from_dict,
@@ -134,8 +135,11 @@ def whatif_fingerprint(
 
     ``fast`` is part of the key: fast-path and exact-engine results
     agree only within the documented tolerance, so they must not share
-    a cache entry.
+    a cache entry.  A ``plan`` dict must decode (:class:`PlanError`
+    otherwise, like :func:`canonical_spec`'s ``WorkloadError``).
     """
+    if plan is not None:
+        TieringPlan.from_dict(plan)
     payload = {
         "op": "whatif",
         "spec": canonical_spec(spec),

@@ -11,6 +11,7 @@ from .cache import (
     cache_enabled,
     catalog_digest,
     job_sim_fingerprint,
+    sim_key_context,
     simulation_cache,
 )
 from .cluster import SimCluster, SimNode, channel_bandwidth_mb_s
@@ -58,6 +59,7 @@ __all__ = [
     "cache_enabled",
     "catalog_digest",
     "job_sim_fingerprint",
+    "sim_key_context",
     "SimCluster",
     "SimNode",
     "channel_bandwidth_mb_s",

@@ -8,22 +8,34 @@ combination dozens of times; under a single plan the per-VM caps are
 identical across jobs, leaving only ~28 distinct simulations in a
 100-job Fig. 7 measurement.
 
-The cache key is a SHA-256 over the canonical JSON of everything the
-simulator reads:
+The cache key is a plain tuple of everything the simulator reads:
 
-* job shape: map/reduce task counts and phase data volumes;
-* the full application profile (selectivities, CPU rates, file counts);
-* input/output/intermediate tiers, staging flags and any non-uniform
-  block placement;
+* job shape: map/reduce task counts and the input size, plus their
+  Python types (a tuple compares ``20 == 20.0``; the types keep such
+  spellings apart);
+* the full application profile (selectivities, CPU rates, file counts),
+  as its canonical JSON, built once per profile object.  The
+  intermediate and output volumes are the profile's selectivities
+  applied to the input size, so these two fields fix them;
+* input/output tiers, staging flags and any non-uniform block
+  placement;
 * resolved per-VM channel capacities (after defaulting — the footprint
-  only matters through these);
-* the cluster shape the simulator reads (VM count, slot counts, NIC);
-* a digest of the provider catalog's *performance* fields — prices and
-  the provider name are excluded because the simulator never reads
-  them, so a price-only catalog change keeps its hits;
-* the active channel implementation, so flipping
-  ``REPRO_SIM_REFERENCE`` can never serve results simulated by the
-  other implementation.
+  only matters through these), as ``(tier, float(cap))`` pairs sorted
+  by tier;
+* the batch context of :func:`sim_key_context`: the cluster shape the
+  simulator reads (VM count, slot counts, NIC), a SHA-256 digest of the
+  provider catalog's *performance* fields — prices and the provider
+  name are excluded because the simulator never reads them, so a
+  price-only catalog change keeps its hits — and the active channel
+  implementation, so flipping ``REPRO_SIM_REFERENCE`` can never serve
+  results simulated by the other implementation.
+
+The context is the same for every job of a batch, so batch callers
+build it once and pass it in; the per-job part hashes no bytes and
+reads no environment.  A key equal to another names the same inputs
+(``tests/test_sim_cache.py`` checks it against the canonical-JSON key
+this module used before); the one spelling it merges that JSON kept
+apart is a ``-0.0`` against a ``0.0`` cap, both an empty volume.
 
 Hits are bit-exact by construction: the stored
 :class:`~repro.simulator.metrics.JobSimResult` is the object the
@@ -47,7 +59,9 @@ from .metrics import JobSimResult
 from .storage_backend import channel_impl_name
 
 __all__ = [
+    "SimKey",
     "catalog_digest",
+    "sim_key_context",
     "job_sim_fingerprint",
     "SimulationCache",
     "simulation_cache",
@@ -60,6 +74,9 @@ CACHE_ENV = "REPRO_SIM_CACHE"
 
 #: Default LRU capacity of the global cache (distinct job shapes).
 DEFAULT_CAPACITY = 4096
+
+#: A simulation-cache key (see the module docstring for its fields).
+SimKey = Tuple[Any, ...]
 
 
 def cache_enabled() -> bool:
@@ -78,39 +95,39 @@ def _canonical_json(obj: Any) -> str:
 # id can never alias a different catalog.
 _CATALOG_MEMO: Dict[int, Tuple[CloudProvider, str]] = {}
 
-# Same discipline for the two other shared immutable inputs a workload
+# Same discipline for the other shared immutable inputs a workload
 # re-presents hundreds of times per measurement: the (typically 4)
-# application profiles and the cluster spec.  Fingerprinting is on the
-# cache *hit* path, so these memos set its cost.
-_APP_MEMO: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-_CLUSTER_MEMO: Dict[int, Tuple[ClusterSpec, Dict[str, Any]]] = {}
+# application profiles and the cluster spec.  Each is keyed by its
+# canonical JSON, so equal keys mean equal field values *and* types.
+_APP_MEMO: Dict[int, Tuple[Any, str]] = {}
+_CLUSTER_MEMO: Dict[int, Tuple[ClusterSpec, str]] = {}
 
 
-def _app_payload(app: Any) -> Dict[str, Any]:
+def _app_key(app: Any) -> str:
     memo = _APP_MEMO.get(id(app))
     if memo is not None and memo[0] is app:
         return memo[1]
-    payload = asdict(app)
+    key = _canonical_json(asdict(app))
     if len(_APP_MEMO) > 256:
         _APP_MEMO.clear()
-    _APP_MEMO[id(app)] = (app, payload)
-    return payload
+    _APP_MEMO[id(app)] = (app, key)
+    return key
 
 
-def _cluster_payload(cluster_spec: ClusterSpec) -> Dict[str, Any]:
+def _cluster_key(cluster_spec: ClusterSpec) -> str:
     memo = _CLUSTER_MEMO.get(id(cluster_spec))
     if memo is not None and memo[0] is cluster_spec:
         return memo[1]
-    payload = {
+    key = _canonical_json({
         "n_vms": cluster_spec.n_vms,
         "map_slots": cluster_spec.vm.map_slots,
         "reduce_slots": cluster_spec.vm.reduce_slots,
         "network_mb_s": cluster_spec.vm.network_mb_s,
-    }
+    })
     if len(_CLUSTER_MEMO) > 256:
         _CLUSTER_MEMO.clear()
-    _CLUSTER_MEMO[id(cluster_spec)] = (cluster_spec, payload)
-    return payload
+    _CLUSTER_MEMO[id(cluster_spec)] = (cluster_spec, key)
+    return key
 
 
 def catalog_digest(provider: CloudProvider) -> str:
@@ -151,6 +168,17 @@ def catalog_digest(provider: CloudProvider) -> str:
     return digest
 
 
+def sim_key_context(
+    cluster_spec: ClusterSpec, provider: CloudProvider
+) -> Tuple[str, str, str]:
+    """The part of a simulation key every job of one batch shares.
+
+    The cluster shape, the catalog digest and the active channel
+    implementation (read from the environment here, once per batch).
+    """
+    return (_cluster_key(cluster_spec), catalog_digest(provider), channel_impl_name())
+
+
 def job_sim_fingerprint(
     job: JobSpec,
     input_tier: Tier,
@@ -161,37 +189,36 @@ def job_sim_fingerprint(
     stage_in: bool,
     stage_out: bool,
     placement_tiers: Optional[Sequence[Tier]] = None,
-) -> str:
-    """SHA-256 key identifying one job simulation.
+    context: Optional[Tuple[str, str, str]] = None,
+) -> SimKey:
+    """Hashable key identifying one job simulation.
 
     ``caps`` must be the *resolved* per-VM capacities (after
     defaulting): the job's footprint influences the run only through
     them.  The job id is excluded — shape-identical jobs share a key.
     ``placement_tiers`` is ``None`` for the uniform-on-``input_tier``
-    placement (the normalized form of the common case).
+    placement (the normalized form of the common case).  ``context``
+    is :func:`sim_key_context` of ``cluster_spec`` and ``provider``;
+    batch callers pass it in so it is built once per batch.
     """
-    payload = {
-        "app": _app_payload(job.app),
-        "map_tasks": job.map_tasks,
-        "reduce_tasks": job.reduce_tasks,
-        "input_gb": job.input_gb,
-        "intermediate_gb": job.intermediate_gb,
-        "output_gb": job.output_gb,
-        "input_tier": input_tier.value,
-        "output_tier": output_tier.value,
-        "stage_in": bool(stage_in),
-        "stage_out": bool(stage_out),
-        "placement": (
-            None
-            if placement_tiers is None
-            else [t.value for t in placement_tiers]
-        ),
-        "caps": {t.value: float(v) for t, v in caps.items()},
-        "cluster": _cluster_payload(cluster_spec),
-        "catalog": catalog_digest(provider),
-        "channel": channel_impl_name(),
-    }
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    if context is None:
+        context = sim_key_context(cluster_spec, provider)
+    m = job.map_tasks
+    r = job.reduce_tasks
+    size = job.input_gb
+    # ``_value_`` is ``.value`` without the enum descriptor's overhead.
+    return (
+        _app_key(job.app),
+        m, r, size,
+        type(m), type(r), type(size),
+        input_tier._value_,
+        output_tier._value_,
+        bool(stage_in),
+        bool(stage_out),
+        None if placement_tiers is None else tuple(t._value_ for t in placement_tiers),
+        tuple(sorted([(t._value_, float(v)) for t, v in caps.items()])),
+        context,
+    )
 
 
 class SimulationCache:
@@ -206,7 +233,7 @@ class SimulationCache:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, JobSimResult]" = OrderedDict()
+        self._entries: "OrderedDict[SimKey, JobSimResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -214,7 +241,7 @@ class SimulationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Optional[JobSimResult]:
+    def get(self, key: SimKey) -> Optional[JobSimResult]:
         """Look up a simulation result, refreshing its recency."""
         entry = self._entries.get(key)
         if entry is None:
@@ -224,7 +251,7 @@ class SimulationCache:
         self.hits += 1
         return entry
 
-    def put(self, key: str, result: JobSimResult) -> None:
+    def put(self, key: SimKey, result: JobSimResult) -> None:
         """Insert a result, evicting the LRU entry when full."""
         if key in self._entries:
             self._entries.move_to_end(key)

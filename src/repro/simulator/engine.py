@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cloud.provider import CloudProvider
@@ -37,7 +36,13 @@ from ..obs.tracing import span as _span
 from ..units import gb_to_mb
 from ..workloads.spec import JobSpec, WorkloadSpec
 from ..workloads.workflow import Workflow
-from .cache import cache_enabled, job_sim_fingerprint, simulation_cache
+from .cache import (
+    SimKey,
+    cache_enabled,
+    job_sim_fingerprint,
+    sim_key_context,
+    simulation_cache,
+)
 from .cluster import SimCluster, channel_bandwidth_mb_s
 from .hdfs import BlockPlacement
 from .metrics import JobSimResult, WorkloadSimResult
@@ -64,11 +69,12 @@ __all__ = [
 ]
 
 #: Prefix distinguishing analytic results in the simulation cache.
-#: Engine-computed results keep their bare fingerprint keys, so a
+#: Engine-computed results keep their bare fingerprint keys (whose first
+#: field is an app profile's JSON, never ``"analytic"``), so a
 #: closed-form number can never be served where a caller asked the
 #: event engine (``simulate_job`` stays bit-exact), while repeat batch
 #: queries still hit.
-ANALYTIC_KEY_PREFIX = "analytic:"
+ANALYTIC_KEY_PREFIX: SimKey = ("analytic",)
 
 
 #: Per-VM persSSD volume backing objStore jobs' shuffle data.  The
@@ -252,7 +258,7 @@ def simulate_job(
     cache = simulation_cache()
     hit = cache.get(key)
     if hit is not None:
-        return hit if hit.job_id == job.job_id else replace(hit, job_id=job.job_id)
+        return hit.for_job(job.job_id)
     result = _simulate_job_instrumented(
         job, input_tier, cluster_spec, provider, caps, placement,
         out_tier, stage_in, stage_out,
@@ -445,8 +451,9 @@ def simulate_batch(
        :func:`~repro.simulator.vectorized.fallback_reason`) are
        evaluated in one NumPy pass, agreeing with the engine to
        :data:`~repro.simulator.vectorized.ANALYTIC_RTOL`; their results
-       cache under an ``analytic:``-prefixed key so they can never
-       shadow an engine result;
+       cache under the engine key prefixed with
+       :data:`ANALYTIC_KEY_PREFIX`, so they can never shadow an engine
+       result;
     3. everything else falls back to :func:`simulate_job` per request —
        with ``REPRO_SIM_REFERENCE=1`` (or ``fast_path=False``) the whole
        batch takes this path and is bit-identical to serial engine runs.
@@ -473,14 +480,15 @@ def simulate_batch(
     reference = use_reference_channel()
     use_cache = cache_enabled()
     cache = simulation_cache() if use_cache else None
+    context = sim_key_context(cluster_spec, provider) if use_cache else None
     stats = _fastpath_stats()
 
     results: List[Optional[JobSimResult]] = [None] * len(items)
     # (index, job, input_tier, out_tier, wave inputs, analytic cache key)
-    analytic: List[Tuple[int, JobSpec, Tier, Tier, object, Optional[str]]] = []
+    analytic: List[Tuple[int, JobSpec, Tier, Tier, object, Optional[SimKey]]] = []
     # (index, job, input_tier, caps, placement)
     fallback: List[Tuple[int, JobSpec, Tier, Dict[Tier, float], Optional[BlockPlacement]]] = []
-    first_for_key: Dict[str, int] = {}
+    first_for_key: Dict[SimKey, int] = {}
     dup_of: Dict[int, int] = {}
     n_cache_hits = 0
 
@@ -490,18 +498,17 @@ def simulate_batch(
             per_vm_capacity_gb=caps_in,
             block_placement=placements[i],
         )
-        key: Optional[str] = None
+        key: Optional[SimKey] = None
         if cache is not None:
             key = job_sim_fingerprint(
                 job, tier, cluster_spec, provider, caps, out_tier,
                 stage_in, stage_out,
                 placement_tiers=None if placement is None else tuple(placement.tiers),
+                context=context,
             )
             hit = cache.get(key)
             if hit is not None:
-                results[i] = (
-                    hit if hit.job_id == job.job_id else replace(hit, job_id=job.job_id)
-                )
+                results[i] = hit.for_job(job.job_id)
                 n_cache_hits += 1
                 continue
             prev = first_for_key.get(key)
@@ -519,11 +526,7 @@ def simulate_batch(
             if akey is not None:
                 ahit = cache.get(akey)
                 if ahit is not None:
-                    results[i] = (
-                        ahit
-                        if ahit.job_id == job.job_id
-                        else replace(ahit, job_id=job.job_id)
-                    )
+                    results[i] = ahit.for_job(job.job_id)
                     n_cache_hits += 1
                     continue
             wave = wave_model_inputs(
@@ -573,8 +576,7 @@ def simulate_batch(
     for i, src_idx in dup_of.items():
         src = results[src_idx]
         assert src is not None
-        job = items[i][0]
-        results[i] = src if src.job_id == job.job_id else replace(src, job_id=job.job_id)
+        results[i] = src.for_job(items[i][0].job_id)
 
     stats.cache_hits += n_cache_hits
     stats.deduped += len(dup_of)

@@ -14,6 +14,7 @@ two cross-job structures the paper §3.1.3 shows matter for placement:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
@@ -75,6 +76,8 @@ class JobSpec:
     n_reduces: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.input_gb):
+            raise WorkloadError(f"{self.job_id}: non-finite input {self.input_gb} GB")
         if self.input_gb <= 0:
             raise WorkloadError(f"{self.job_id}: non-positive input {self.input_gb} GB")
         if self.n_maps is not None and self.n_maps <= 0:

@@ -49,6 +49,11 @@ class TestConstruction:
         with pytest.raises(PlanError):
             Placement(tier=Tier.PERS_SSD, capacity_gb=-1.0)
 
+    @pytest.mark.parametrize("gb", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, gb):
+        with pytest.raises(PlanError, match="non-finite"):
+            Placement(tier=Tier.PERS_SSD, capacity_gb=gb)
+
 
 class TestAggregates:
     def test_aggregate_capacity_sums_by_tier(self, workload):

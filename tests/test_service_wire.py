@@ -180,3 +180,65 @@ def test_a_new_cached_op_is_one_table_entry(role, monkeypatch):
             assert len(fingerprinted) == 4 + (front is not shard)
 
     asyncio.run(scenario())
+
+
+def _non_finite_line(op, value):
+    """A ``plan`` or ``whatif`` whose first job has ``input_gb = value``
+    (Python's JSON writes NaN/Infinity, and the wire decoder reads them)."""
+    spec = small_spec()
+    spec["jobs"][0]["input_gb"] = value
+    if op == "plan":
+        return plan_line(spec=spec)
+    return line(op="whatif", params={"spec": spec, "tier": "persSSD", "n_vms": 5})
+
+
+def _nan_capacity_line():
+    """A ``whatif`` whose explicit plan provisions NaN GB for one job."""
+    spec = small_spec()
+    placements = {
+        j["job_id"]: {"tier": "persSSD", "capacity_gb": 1e4} for j in spec["jobs"]
+    }
+    placements[spec["jobs"][0]["job_id"]]["capacity_gb"] = float("nan")
+    plan = {"version": 1, "kind": "tiering-plan", "placements": placements}
+    return line(op="whatif", params={"spec": spec, "plan": plan, "n_vms": 5})
+
+
+NON_FINITE_PROBES = {
+    **{
+        f"{op}_{name}_input": (_non_finite_line(op, value), "WorkloadError")
+        for op in ("plan", "whatif")
+        for name, value in (
+            ("nan", float("nan")), ("inf", float("inf")), ("neg_inf", float("-inf")),
+        )
+    },
+    "whatif_nan_plan_capacity": (_nan_capacity_line(), "PlanError"),
+}
+
+
+@pytest.mark.parametrize("role", ROLES)
+@pytest.mark.parametrize("probe", sorted(NON_FINITE_PROBES))
+def test_non_finite_sizes_are_typed_errors(role, probe):
+    """A NaN or infinite size is the client's error, not the server's:
+    typed, the connection survives, and no internal error is counted."""
+    payload, error_type = NON_FINITE_PROBES[probe]
+
+    async def scenario():
+        async with serving(role) as (front, shard):
+            reader, writer = await asyncio.open_connection(*front.address)
+            try:
+                writer.write(payload)
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                assert response["ok"] is False
+                assert response["error"]["type"] == error_type
+                writer.write(line(op="ping"))
+                await writer.drain()
+                pong = json.loads(await reader.readline())
+                assert pong["ok"] is True
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            for server in {front, shard}:
+                assert server.counters.get(server.INTERNAL_ERROR_EVENT, 0) == 0
+
+    asyncio.run(scenario())

@@ -32,6 +32,11 @@ class TestJobSpec:
         with pytest.raises(WorkloadError, match="non-positive"):
             make_job(gb=0.0)
 
+    @pytest.mark.parametrize("gb", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_rejected(self, gb):
+        with pytest.raises(WorkloadError, match="non-finite"):
+            make_job(gb=gb)
+
     def test_non_positive_maps_rejected(self):
         with pytest.raises(WorkloadError):
             make_job(n_maps=0)
