@@ -20,7 +20,7 @@ deadline solver all share one annealer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Generic, Optional, TypeVar
 
 import numpy as np
 
@@ -42,18 +42,17 @@ _MIN_METROPOLIS_EXPONENT = -745.0
 
 @dataclass(frozen=True)
 class Neighbor(Generic[S]):
-    """A candidate state plus (optionally) the move that produced it.
+    """A candidate state plus the move that produced it.
 
-    Neighbor functions may return a bare state (the classic protocol)
-    or a ``Neighbor`` carrying the move.  When the objective supports
-    delta evaluation (``reset``/``propose``/``accept``, see
-    :class:`~repro.core.evaluator.PlanEvaluator`), the annealer feeds
-    the move to ``propose`` so only the touched part of the objective
-    is recomputed — Algorithm 2's hot loop without the O(N) rescan.
+    The neighbor shape a delta objective (``reset``/``propose``/
+    ``accept``, see :class:`~repro.core.evaluator.PlanEvaluator`)
+    needs: the annealer feeds the move to ``propose`` so only the
+    touched part of the objective is recomputed — Algorithm 2's hot
+    loop without the O(N) rescan.
     """
 
     state: S
-    move: Optional[Any] = None
+    move: Any
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,6 @@ class AnnealingResult(Generic[S]):
     best_utility: float
     iterations: int
     accepted: int
-    #: best-so-far utility after each iteration (convergence curves).
-    trajectory: Tuple[float, ...]
 
 
 def simulated_annealing(
@@ -104,7 +101,6 @@ def simulated_annealing(
     neighbor_fn: Callable[[S, np.random.Generator], S],
     schedule: AnnealingSchedule,
     rng: Optional[np.random.Generator] = None,
-    record_trajectory: bool = False,
     progress: Optional[Callable[[SolverProgress], None]] = None,
     progress_every: int = 500,
 ) -> AnnealingResult[S]:
@@ -116,20 +112,22 @@ def simulated_annealing(
         ``P-hat_init`` — where the search starts (Algorithm 2 seeds it
         with the greedy plan or Table 2 heuristics).
     utility_fn:
-        Objective to maximize.  May raise
-        :class:`~repro.errors.CastError` for infeasible states, which
-        are treated as utility ``-inf`` (never accepted).
+        The objective to maximize, in one of two protocols:
+
+        * a plain callable ``utility_fn(state)``, with ``neighbor_fn``
+          returning bare states;
+        * a *delta objective* exposing ``reset(state)`` (full
+          evaluation establishing the base), ``propose(state, move)``
+          (utility of base + move, uncommitted) and ``accept()``
+          (promote the last proposal to base), with ``neighbor_fn``
+          returning :class:`Neighbor` values.
+
+        Either may raise :class:`~repro.errors.CastError` for
+        infeasible states, which are treated as utility ``-inf``
+        (never accepted).
     neighbor_fn:
-        Draws a random neighbor of the given state.  May return either
-        a bare state or a :class:`Neighbor` wrapping the state and the
-        move that produced it.
-    utility_fn:
-        Either a plain callable, or a *delta objective* — an object
-        that is callable for full evaluations and additionally exposes
-        ``reset(state)`` (full evaluation establishing the base),
-        ``propose(state, move)`` (utility of base + move, uncommitted)
-        and ``accept()`` (promote the last proposal to base).  The
-        delta path is used whenever the neighbor carries a move.
+        Draws a random neighbor of the given state, in the shape the
+        objective's protocol takes.
     progress:
         Optional sampled telemetry callback receiving a
         :class:`~repro.obs.progress.SolverProgress` every
@@ -186,19 +184,15 @@ def simulated_annealing(
 
     temp = schedule.temp_init
     accepted = 0
-    trajectory: List[float] = []
 
     for it in range(schedule.iter_max):
         temp = max(temp * schedule.cooling_rate, schedule.temp_min)
         candidate = neighbor_fn(current, rng)
-        if isinstance(candidate, Neighbor):
-            neighbor, move = candidate.state, candidate.move
+        if delta_mode:
+            neighbor = candidate.state
+            u_neighbor = safe_propose(neighbor, candidate.move)
         else:
-            neighbor, move = candidate, None
-        incremental = delta_mode and move is not None
-        if incremental:
-            u_neighbor = safe_propose(neighbor, move)
-        else:
+            neighbor = candidate
             u_neighbor = safe_utility(neighbor)
 
         if u_neighbor > u_best:
@@ -219,12 +213,7 @@ def simulated_annealing(
             current, u_current = neighbor, u_neighbor
             accepted += 1
             if delta_mode:
-                if incremental:
-                    accept_cb()  # type: ignore[misc]
-                else:
-                    reset(neighbor)  # type: ignore[misc]
-        if record_trajectory:
-            trajectory.append(u_best)
+                accept_cb()  # type: ignore[misc]
         if progress is not None and (it + 1) % progress_every == 0:
             progress(SolverProgress(
                 backend="anneal",
@@ -241,5 +230,4 @@ def simulated_annealing(
         best_utility=u_best,
         iterations=schedule.iter_max,
         accepted=accepted,
-        trajectory=tuple(trajectory),
     )

@@ -30,6 +30,7 @@ import numpy as np
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
+from ..errors import SolverError
 from ..obs.tracing import span as _span
 from ..profiler.models import ModelMatrix
 from ..simulator.engine import cross_tier_transfer_seconds, intermediate_tier_for
@@ -338,7 +339,21 @@ class CastPlusPlus(CastSolver):
         self, workflows: Sequence[Workflow]
     ) -> Dict[str, AnnealingResult[TieringPlan]]:
         """Optimize every workflow in a suite independently."""
+        _require_unique_names(workflows)
         return {wf.name: self.solve_workflow(wf) for wf in workflows}
+
+
+def _require_unique_names(workflows: Sequence[Workflow]) -> None:
+    """Reject a suite in which two workflows share a name.
+
+    Suite answers key plans by workflow name, so a repeated name would
+    silently drop a plan the suite's objective still counts.
+    """
+    seen = set()
+    for wf in workflows:
+        if wf.name in seen:
+            raise SolverError(f"duplicate workflow name {wf.name!r} in suite")
+        seen.add(wf.name)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ even though a neighbor move touches one job (or one app class).
   memoizes, and every evaluator over that matrix reads the same
   read-only table (:func:`bandwidth_ids`).
 * **Static term precomputation.**  The capacity-independent pieces of
-  Eq. 1 (wave counts × per-task MB, ephSSD staging seconds) are
-  computed once per job at construction; a memo miss costs three
-  divisions by the phase bandwidths, not a full ``estimate_job``.
+  Eq. 1 (:func:`~repro.core.perf_model.eq1_static_terms`, the
+  definition ``estimate_job`` reads) are computed once per job at
+  construction; a memo miss costs three divisions by the phase
+  bandwidths, not a full ``estimate_job``.
 * **Column state.**  The base plan lives in float64 columns over job
   *slots* (workload order): per service a capacity column (0.0 for
   jobs elsewhere), per billed service a contribution column (one entry
@@ -49,15 +50,21 @@ even though a neighbor move touches one job (or one app class).
   is **bit-identical** to the naive one, not merely close.  The parity
   test suite and the CI benchmark smokes enforce this.
 
-Protocol (consumed by :func:`~repro.core.annealing.simulated_annealing`
-when the neighbor function supplies moves):
+The evaluator is a search objective only: it answers one utility per
+proposal and keeps the base plan's utility, makespan and cost.  Every
+reported plan metric comes from :func:`~repro.core.utility.evaluate_plan`.
+
+Protocol (the delta objective of
+:func:`~repro.core.annealing.simulated_annealing`):
 
 * ``reset(plan)`` — full evaluation; the plan becomes the base state;
 * ``propose(neighbor_plan, move)`` — utility of base + move, computed
   from deltas, committed to nothing;
-* ``accept()`` — promote the last proposal to the new base;
-* ``evaluator(plan)`` — plain call: stateless full evaluation (used
-  for seeding and by legacy callers expecting a utility function).
+* ``accept()`` — promote the last proposal to the new base.
+
+Sessions and sweeps also move the base directly: ``promote(plan)``
+re-bases onto a plan over the same jobs, ``apply_workload_delta`` and
+``update_workload`` onto a new workload.
 """
 
 from __future__ import annotations
@@ -73,13 +80,12 @@ from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..errors import CatalogError, PlanError
 from ..profiler.models import ModelMatrix, quantize_capacity
-from ..units import gb_to_mb
 from ..workloads.spec import WorkloadSpec
 from .cost import CostBreakdown
-from .perf_model import JobEstimate, _effective_waves, staging_seconds
+from .perf_model import eq1_static_terms
 from .plan import Placement, TieringPlan
 from .tensor_eval import bandwidth_tensor
-from .utility import PlanEvaluation, finalize_plan_metrics, seq_sum
+from .utility import finalize_plan_metrics, seq_sum
 
 __all__ = ["PlanMove", "PlanEvaluator", "bandwidth_ids"]
 
@@ -183,7 +189,7 @@ class _BaseState:
         "count", "cap", "agg", "qpvc", "first",
         "groups", "gid", "tot", "raw_makespan",
         "bcol", "bsum", "border",
-        "utility", "makespan_s", "cost", "billed", "evaluation",
+        "utility", "makespan_s", "cost", "billed",
     )
 
     def __init__(self) -> None:
@@ -218,7 +224,6 @@ class _BaseState:
         self.makespan_s: float = float("nan")
         self.cost: Optional[CostBreakdown] = None
         self.billed: Dict[Tier, float] = {}
-        self.evaluation: Optional[PlanEvaluation] = None
 
 
 class _TierState(NamedTuple):
@@ -271,7 +276,7 @@ class PlanEvaluator:
         self.matrix = matrix
         self.provider = provider
         self.reuse_aware = reuse_aware
-        #: Validate plans on reset/evaluate (structure + Eq. 3).  The
+        #: Validate plans on reset (structure + Eq. 3).  The
         #: streaming session layer turns this off for its persistent
         #: evaluator: warm plans are feasible by construction (survivors
         #: keep validated placements, arrivals get exact-fit seeds) and
@@ -281,9 +286,9 @@ class PlanEvaluator:
         self._job_by_id = {j.job_id: j for j in self._jobs}
         self._footprint: Dict[str, float] = {}
         # Capacity-independent Eq. 1 terms, once per job: (app name,
-        # waves×MB per phase, ephSSD staging seconds).  ``map_s`` in
-        # estimate_job is ``(waves_m * gb_to_mb(input/m)) / bw`` —
-        # left-to-right — so pre-multiplying here is bit-identical.
+        # *eq1_static_terms) — the per-phase numerators estimate_job
+        # divides by the bandwidths, then ephSSD download and upload
+        # seconds.
         self._static: Dict[str, Tuple[str, float, float, float, float, float]] = {}
         # Per-job data-size constants for billed contributions, summed
         # exactly as job_billed_contributions sums them.
@@ -311,10 +316,8 @@ class PlanEvaluator:
         # still resident; compacted once enough pile up.
         self._retired: set = set()
         # (job, bandwidth id) -> total runtime seconds: the hot-loop
-        # cache.  Full JobEstimate objects are materialized lazily —
-        # only makespan totals are needed per proposal.
+        # cache (only makespan totals are needed per proposal).
         self._tot_cache: Dict[Tuple[str, int], float] = {}
-        self._est_objs: Dict[Tuple[str, int], JobEstimate] = {}
         self._base = _BaseState()
         self._pending: Optional[_Pending] = None
         self.counters: Dict[str, int] = {
@@ -386,25 +389,9 @@ class PlanEvaluator:
         through :meth:`update_workload` — bit-parity is insensitive to
         arrival order.
         """
-        m, r = job.map_tasks, job.reduce_tasks
-        waves_m = _effective_waves(
-            m, self.cluster_spec.total_map_slots, job.app.cpu_intensive
-        )
-        waves_r = _effective_waves(
-            r, self.cluster_spec.total_reduce_slots, job.app.cpu_intensive
-        )
         self._static[job.job_id] = (
             job.app.name,
-            waves_m * gb_to_mb(job.input_gb / m),
-            waves_r * gb_to_mb(job.intermediate_gb / r),
-            waves_r * gb_to_mb(job.output_gb / r),
-            staging_seconds(job.input_gb, m, self.cluster_spec, self.provider),
-            staging_seconds(
-                job.output_gb,
-                r * job.app.files_per_reduce_task,
-                self.cluster_spec,
-                self.provider,
-            ),
+            *eq1_static_terms(job, self.cluster_spec, self.provider),
         )
         self._footprint[job.job_id] = job.footprint_gb
         self._job_gb[job.job_id] = (
@@ -429,9 +416,9 @@ class PlanEvaluator:
 
     def _purge_job(self, jid: str) -> None:
         """Drop a job's memo entries (re-admission of a retired id)."""
-        for cache in (self._tot_cache, self._est_objs):
-            for key in [k for k in cache if k[0] == jid]:
-                del cache[key]
+        cache = self._tot_cache
+        for key in [k for k in cache if k[0] == jid]:
+            del cache[key]
 
     _COMPACT_RETIRED = 512
 
@@ -475,9 +462,6 @@ class PlanEvaluator:
             gone = self._retired
             self._tot_cache = {
                 k: v for k, v in self._tot_cache.items() if k[0] not in gone
-            }
-            self._est_objs = {
-                k: v for k, v in self._est_objs.items() if k[0] not in gone
             }
             self._retired = set()
 
@@ -668,7 +652,6 @@ class PlanEvaluator:
         base.makespan_s = makespan_s
         base.cost = cost
         base.billed = billed
-        base.evaluation = None
         counters = self.counters
         counters["delta_rebases"] += 1
         counters["jobs_reestimated"] += len(keyed)
@@ -741,27 +724,6 @@ class PlanEvaluator:
         tot = download_s + (map_s + shuffle_s + reduce_s) + upload_s
         self._tot_cache[key] = tot
         return tot
-
-    def _est_obj(self, jid: str, tier: Tier, bid: int) -> JobEstimate:
-        """Materialize the :class:`JobEstimate` behind a memo entry."""
-        key = (jid, bid)
-        est = self._est_objs.get(key)
-        if est is None:
-            app, pre_map, pre_shuffle, pre_reduce, download_s, upload_s = self._static[jid]
-            bw_map, bw_shuffle, bw_reduce = self._bw[(app, tier)][3][bid].tolist()
-            if tier is not Tier.EPH_SSD:
-                download_s = upload_s = 0.0
-            est = JobEstimate(
-                job_id=jid,
-                tier=tier,
-                download_s=download_s,
-                map_s=pre_map / bw_map,
-                shuffle_s=pre_shuffle / bw_shuffle,
-                reduce_s=pre_reduce / bw_reduce,
-                upload_s=upload_s,
-            )
-            self._est_objs[key] = est
-        return est
 
     # -- column helpers -----------------------------------------------------------
 
@@ -845,18 +807,12 @@ class PlanEvaluator:
 
     # -- full evaluation (reference-parity path) --------------------------------
 
-    def _full_state(self, plan: TieringPlan, light: bool = False) -> _BaseState:
+    def _full_state(self, plan: TieringPlan) -> _BaseState:
         """Evaluate ``plan`` from scratch into a fresh base state.
 
         Mirrors :func:`~repro.core.utility.evaluate_plan` operation for
         operation (same summation orders, shared finalize tail), with
-        job estimates routed through the memo cache.
-
-        ``light`` skips materializing :class:`JobEstimate` objects and
-        the :class:`PlanEvaluation` — :attr:`last_evaluation` rebuilds
-        both lazily from the memo keys, exactly as it does after
-        ``accept()``.  This keeps the per-re-plan baseline evaluation of
-        streaming sessions allocation-lean.
+        job runtimes routed through the memo cache.
         """
         if self.validate_resets:
             plan.validate(self.workload, self.provider)
@@ -899,14 +855,10 @@ class PlanEvaluator:
                 st.gid[(tier, app)] = self._bw_id(app, tier, st.qpvc[tier])
 
         tot = [0.0] * n
-        per_job: Dict[str, JobEstimate] = {}
         for i, job in enumerate(jobs):
             jid = job.job_id
             tier = slot_tier[i]
-            bid = st.gid[(tier, static[jid][0])]
-            tot[i] = self._tot(jid, tier, bid)
-            if not light:
-                per_job[jid] = self._est_obj(jid, tier, bid)
+            tot[i] = self._tot(jid, tier, st.gid[(tier, static[jid][0])])
         st.tot = np.asarray(tot, dtype=np.float64)
         st.raw_makespan = seq_sum(st.tot)
         st.bsum = {bt: seq_sum(col) for bt, col in st.bcol.items()}
@@ -922,31 +874,15 @@ class PlanEvaluator:
         st.makespan_s = makespan_s
         st.cost = cost
         st.billed = billed
-        if not light:
-            st.evaluation = PlanEvaluation(
-                makespan_s=makespan_s,
-                cost=cost,
-                utility=utility,
-                per_job=per_job,
-                capacity_gb=dict(billed),
-            )
         self.counters["full_evaluations"] += 1
         return st
-
-    def evaluate(self, plan: TieringPlan) -> PlanEvaluation:
-        """Stateless full evaluation (does not move the base)."""
-        return self._full_state(plan).evaluation  # type: ignore[return-value]
-
-    def __call__(self, plan: TieringPlan) -> float:
-        """Utility of a plan, full evaluation (legacy objective shape)."""
-        return self.evaluate(plan).utility
 
     # -- the delta protocol -----------------------------------------------------
 
     def reset(self, plan: TieringPlan) -> float:
         """Full evaluation; ``plan`` becomes the base state."""
         self._pending = None
-        self._base = self._full_state(plan, light=True)
+        self._base = self._full_state(plan)
         return self._base.utility
 
     def propose(self, neighbor_plan: TieringPlan, move: PlanMove) -> float:
@@ -1199,7 +1135,6 @@ class PlanEvaluator:
         base.makespan_s = pending.makespan_s
         base.cost = pending.cost
         base.billed = pending.billed
-        base.evaluation = None  # rebuilt lazily by last_evaluation
         self._pending = None
 
     def promote(self, best: TieringPlan) -> None:
@@ -1248,41 +1183,12 @@ class PlanEvaluator:
     def base_cost(self) -> Optional[CostBreakdown]:
         """Cost breakdown of the current base plan (None before ``reset``).
 
-        These three read the already-summed base-state scalars — unlike
-        :attr:`last_evaluation` they never materialize per-job estimate
-        objects, so the streaming session layer can report utility,
-        makespan and cost without adding an O(N) pass to its re-plan
-        latency.
+        These three read the already-summed base-state scalars, so
+        sessions and sweeps report utility, makespan and cost without
+        an O(N) pass.  Per-job runtimes and every other reported
+        metric come from :func:`~repro.core.utility.evaluate_plan`.
         """
         return self._base.cost
-
-    @property
-    def last_evaluation(self) -> Optional[PlanEvaluation]:
-        """Full evaluation of the current base plan."""
-        base = self._base
-        if base.plan is None:
-            return None
-        if base.evaluation is None:
-            # Estimates are materialized here, not in the hot loop:
-            # rebuild per_job from each job's (tier, app) group key in
-            # workload order, like the naive path.
-            placements = base.plan.placements
-            static = self._static
-            per_job = {}
-            for job in self._jobs:
-                jid = job.job_id
-                tier = placements[jid].tier
-                per_job[jid] = self._est_obj(
-                    jid, tier, base.gid[(tier, static[jid][0])]
-                )
-            base.evaluation = PlanEvaluation(
-                makespan_s=base.makespan_s,
-                cost=base.cost,  # type: ignore[arg-type]
-                utility=base.utility,
-                per_job=per_job,
-                capacity_gb=dict(base.billed),
-            )
-        return base.evaluation
 
     def stats(self) -> Dict[str, int]:
         """Counters for benchmarks and the planner-service ``stats`` op."""

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..cloud.provider import CloudProvider
 from ..cloud.vm import ClusterSpec
@@ -28,8 +26,8 @@ from ..errors import SolverError
 from ..profiler.models import ModelMatrix
 from ..workloads.spec import WorkloadSpec
 from ..workloads.workflow import Workflow
-from .annealing import AnnealingSchedule, simulated_annealing
-from .castpp import CastPlusPlus, evaluate_workflow_plan
+from .annealing import AnnealingSchedule
+from .castpp import CastPlusPlus, _require_unique_names, evaluate_workflow_plan
 from .plan import TieringPlan
 from .solver import CastSolver
 
@@ -104,76 +102,45 @@ def solve_for_goal(
             objective_value=result.best_utility,
         )
 
-    if goal is TenantGoal.MIN_COST_UNDER_DEADLINES:
-        _require(bool(workflows), "MIN_COST_UNDER_DEADLINES needs workflows")
-        solver = CastPlusPlus(cluster_spec=cluster_spec, matrix=matrix,
-                              provider=provider, schedule=schedule, seed=seed)
-        plans: Dict[str, TieringPlan] = {}
-        total_cost = 0.0
-        for wf in workflows:
-            plan = solver.solve_workflow(wf).best_state
-            plans[wf.name] = plan
-            total_cost += evaluate_workflow_plan(
-                wf, plan, cluster_spec, matrix, provider
-            ).cost.total_usd
-        return GoalOutcome(goal=goal, plans=plans, objective_value=total_cost)
-
-    if goal is TenantGoal.MIN_MISS_RATE:
-        _require(bool(workflows), "MIN_MISS_RATE needs workflows")
-        return _solve_min_miss_rate(
-            list(workflows), cluster_spec, matrix, provider, schedule, seed
+    if goal in (TenantGoal.MIN_COST_UNDER_DEADLINES, TenantGoal.MIN_MISS_RATE):
+        _require(bool(workflows), f"{goal.name} needs workflows")
+        _require_unique_names(workflows)
+        return _solve_deadline_goal(
+            goal, workflows, cluster_spec, matrix, provider, schedule, seed
         )
 
     raise SolverError(f"unknown tenant goal: {goal!r}")  # pragma: no cover
 
 
-def _solve_min_miss_rate(
-    workflows: List[Workflow],
+def _solve_deadline_goal(
+    goal: TenantGoal,
+    workflows: Sequence[Workflow],
     cluster_spec: ClusterSpec,
     matrix: ModelMatrix,
     provider: CloudProvider,
     schedule: AnnealingSchedule,
     seed: int,
 ) -> GoalOutcome:
-    """Fewest missed deadlines, dollars as the tiebreaker.
+    """Plan each workflow with CAST++'s Eq. 8–10 search, then score.
 
-    Each workflow anneals independently (misses are per-workflow, so
-    the joint objective decomposes) under a lexicographic objective:
-    a miss costs more than any feasible dollar difference; among plans
-    with equal misses, cheaper wins; among infeasible plans, smaller
-    overshoot wins — the annealer can always climb toward feasibility.
+    Misses and dollars are per-workflow, so both deadline goals
+    decompose: each workflow anneals independently under
+    :meth:`~repro.core.castpp.CastPlusPlus.workflow_objective`, whose
+    penalty pushes every deadline miss below any feasible plan and
+    slopes toward feasibility, so an infeasible deadline still yields
+    its smallest-overshoot plan.  ``MIN_COST_UNDER_DEADLINES`` reports
+    the suite's total dollars, ``MIN_MISS_RATE`` its missed deadlines.
     """
     solver = CastPlusPlus(cluster_spec=cluster_spec, matrix=matrix,
                           provider=provider, schedule=schedule, seed=seed)
     plans: Dict[str, TieringPlan] = {}
-    total_misses = 0
+    total_cost = 0.0
+    misses = 0
     for wf in workflows:
-
-        def objective(plan: TieringPlan, wf: Workflow = wf) -> float:
-            ev = evaluate_workflow_plan(wf, plan, cluster_spec, matrix, provider)
-            if ev.meets_deadline:
-                return -ev.cost.total_usd
-            overshoot = (ev.makespan_s - wf.deadline_s) / wf.deadline_s
-            return -1e6 * (1.0 + overshoot) - ev.cost.total_usd
-
-        from ..cloud.storage import Tier
-
-        initial = TieringPlan.uniform(wf.as_workload(), Tier.PERS_SSD)
-        result = simulated_annealing(
-            initial_state=initial,
-            utility_fn=objective,
-            neighbor_fn=solver.workflow_neighbor(wf),
-            schedule=schedule,
-            rng=np.random.default_rng(seed),
-        )
-        plans[wf.name] = result.best_state
-        ev = evaluate_workflow_plan(
-            wf, result.best_state, cluster_spec, matrix, provider
-        )
-        if not ev.meets_deadline:
-            total_misses += 1
-    return GoalOutcome(
-        goal=TenantGoal.MIN_MISS_RATE,
-        plans=plans,
-        objective_value=float(total_misses),
-    )
+        plan = solver.solve_workflow(wf).best_state
+        plans[wf.name] = plan
+        ev = evaluate_workflow_plan(wf, plan, cluster_spec, matrix, provider)
+        total_cost += ev.cost.total_usd
+        misses += not ev.meets_deadline
+    value = total_cost if goal is TenantGoal.MIN_COST_UNDER_DEADLINES else float(misses)
+    return GoalOutcome(goal=goal, plans=plans, objective_value=value)

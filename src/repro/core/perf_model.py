@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..profiler.models import ModelMatrix
-from ..units import gb_to_mb
+from ..units import MB_PER_GB, gb_to_mb
 from ..workloads.spec import JobSpec
 
-__all__ = ["JobEstimate", "estimate_job", "staging_seconds"]
+__all__ = ["JobEstimate", "eq1_static_terms", "estimate_job", "staging_seconds"]
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,45 @@ def _effective_waves(n_tasks: int, slots: int, cpu_bound: bool) -> float:
     return full + (rem / slots) ** 0.8
 
 
+def eq1_static_terms(
+    job: JobSpec,
+    cluster_spec: ClusterSpec,
+    provider: CloudProvider,
+    staging: bool = True,
+) -> Tuple[float, float, float, float, float]:
+    """One job's capacity-independent Eq. 1 terms.
+
+    ``(map, shuffle, reduce, download_s, upload_s)``: per phase, waves ×
+    per-task MB, which divided by the phase bandwidth gives the phase
+    seconds; then the ephSSD objStore staging seconds (input in, output
+    out), computed only with ``staging`` and 0.0 otherwise.
+    :func:`estimate_job`, the incremental evaluator and the tensor
+    model all read this one definition, so their runtimes agree bit
+    for bit.
+    """
+    app = job.app
+    cpu = app.cpu_intensive
+    m, r = job.map_tasks, job.reduce_tasks
+    output_gb = job.output_gb
+    waves_m = _effective_waves(m, cluster_spec.total_map_slots, cpu)
+    waves_r = _effective_waves(r, cluster_spec.total_reduce_slots, cpu)
+    download_s = upload_s = 0.0
+    if staging:
+        download_s = staging_seconds(job.input_gb, m, cluster_spec, provider)
+        upload_s = staging_seconds(
+            output_gb, r * app.files_per_reduce_task, cluster_spec, provider
+        )
+    # ``x / n * MB_PER_GB`` is gb_to_mb(x / n), inlined: this runs for
+    # every job of every evaluate_plan call.
+    return (
+        waves_m * (job.input_gb / m * MB_PER_GB),
+        waves_r * (job.intermediate_gb / r * MB_PER_GB),
+        waves_r * (output_gb / r * MB_PER_GB),
+        download_s,
+        upload_s,
+    )
+
+
 def estimate_job(
     job: JobSpec,
     tier: Tier,
@@ -133,31 +172,16 @@ def estimate_job(
         CAST++ for warm reuse re-accesses and intra-workflow hops).
     """
     bw = matrix.bandwidths(job.app.name, tier, capacity_gb_per_vm)
-
-    m, r = job.map_tasks, job.reduce_tasks
-    waves_m = _effective_waves(m, cluster_spec.total_map_slots, job.app.cpu_intensive)
-    waves_r = _effective_waves(r, cluster_spec.total_reduce_slots, job.app.cpu_intensive)
-
-    map_s = waves_m * gb_to_mb(job.input_gb / m) / bw.map_mb_s
-    shuffle_s = waves_r * gb_to_mb(job.intermediate_gb / r) / bw.shuffle_mb_s
-    reduce_s = waves_r * gb_to_mb(job.output_gb / r) / bw.reduce_mb_s
-
-    download_s = upload_s = 0.0
-    if tier is Tier.EPH_SSD and include_staging:
-        download_s = staging_seconds(job.input_gb, m, cluster_spec, provider)
-        upload_s = staging_seconds(
-            job.output_gb,
-            r * job.app.files_per_reduce_task,
-            cluster_spec,
-            provider,
-        )
-
+    mb_map, mb_shuffle, mb_reduce, download_s, upload_s = eq1_static_terms(
+        job, cluster_spec, provider,
+        staging=tier is Tier.EPH_SSD and include_staging,
+    )
     return JobEstimate(
         job_id=job.job_id,
         tier=tier,
         download_s=download_s,
-        map_s=map_s,
-        shuffle_s=shuffle_s,
-        reduce_s=reduce_s,
+        map_s=mb_map / bw.map_mb_s,
+        shuffle_s=mb_shuffle / bw.shuffle_mb_s,
+        reduce_s=mb_reduce / bw.reduce_mb_s,
         upload_s=upload_s,
     )

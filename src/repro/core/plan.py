@@ -19,7 +19,16 @@ from ..cloud.storage import Tier
 from ..errors import PlanError
 from ..workloads.spec import JobSpec, WorkloadSpec
 
-__all__ = ["Placement", "TieringPlan", "job_billed_contributions"]
+__all__ = [
+    "CAPACITY_MULTIPLIERS",
+    "Placement",
+    "TieringPlan",
+    "job_billed_contributions",
+]
+
+#: Capacity over-provisioning levels the solvers may try per job, as
+#: multiples of its Eq. 3 footprint.
+CAPACITY_MULTIPLIERS: Tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
 
 
 def job_billed_contributions(

@@ -30,7 +30,7 @@ from ..workloads.spec import JobSpec, WorkloadSpec
 from .annealing import AnnealingResult, AnnealingSchedule, Neighbor, simulated_annealing
 from .evaluator import PlanEvaluator, PlanMove
 from .greedy import greedy_exact_fit
-from .plan import Placement, TieringPlan
+from .plan import CAPACITY_MULTIPLIERS, Placement, TieringPlan
 from .utility import PlanEvaluation, evaluate_plan
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "solve_workload_request",
     "table2_tier",
 ]
-
-#: Capacity over-provisioning levels the solver may try per job.
-CAPACITY_MULTIPLIERS: Tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
 
 
 def table2_tier(job: JobSpec, available: AbstractSet[Tier]) -> Tier:
@@ -289,7 +286,8 @@ class CastSolver:
     def neighbor(
         self, workload: WorkloadSpec
     ) -> Callable[[TieringPlan, np.random.Generator], TieringPlan]:
-        """Plain-plan view of :meth:`neighbor_moves` (legacy protocol)."""
+        """Bare-plan view of :meth:`neighbor_moves`, for the plain
+        objective of the ``incremental=False`` reference path."""
         moves = self.neighbor_moves(workload)
 
         def move(plan: TieringPlan, rng: np.random.Generator) -> TieringPlan:
@@ -358,7 +356,6 @@ class CastSolver:
         self,
         workload: WorkloadSpec,
         initial: Optional[TieringPlan] = None,
-        record_trajectory: bool = False,
         progress: Optional[Callable[[SolverProgress], None]] = None,
         progress_every: int = 500,
         schedule: Optional[AnnealingSchedule] = None,
@@ -392,7 +389,7 @@ class CastSolver:
         ):
             started = time.perf_counter()
             result = self._solve_inner(
-                workload, initial, record_trajectory, progress, progress_every,
+                workload, initial, progress, progress_every,
                 schedule, evaluator, neighbor_fn,
             )
             self._record_solve_metrics(result, time.perf_counter() - started)
@@ -402,7 +399,6 @@ class CastSolver:
         self,
         workload: WorkloadSpec,
         initial: Optional[TieringPlan],
-        record_trajectory: bool,
         progress: Optional[Callable[[SolverProgress], None]],
         progress_every: int,
         schedule: Optional[AnnealingSchedule] = None,
@@ -416,7 +412,6 @@ class CastSolver:
             self.last_tempering = None
             return solve_tempering(
                 self, workload, sched, initial=initial,
-                record_trajectory=record_trajectory,
                 progress=progress, progress_every=progress_every,
             )
         if self.backend != "anneal":
@@ -443,7 +438,6 @@ class CastSolver:
             neighbor_fn=moves,
             schedule=sched,
             rng=np.random.default_rng(self.seed),
-            record_trajectory=record_trajectory,
             progress=progress,
             progress_every=progress_every,
         )

@@ -94,7 +94,6 @@ class TemperingOutcome:
     swaps_attempted: int
     swaps_accepted: int
     refreshes: int
-    trajectory: Tuple[float, ...]
 
 
 def _replica_streams(
@@ -121,7 +120,6 @@ def parallel_tempering(
     ladder_ratio: float = DEFAULT_LADDER_RATIO,
     swap_every: int = DEFAULT_SWAP_EVERY,
     group_moves: bool = False,
-    record_trajectory: bool = False,
     progress: Optional[Callable[[SolverProgress], None]] = None,
     progress_every: int = 500,
 ) -> TemperingOutcome:
@@ -177,7 +175,6 @@ def parallel_tempering(
     swaps_attempted = 0
     swaps_accepted = 0
     refreshes = 0
-    trajectory: List[float] = []
     undos: List[Any] = [None] * R
     tier_arr, lvl_arr = state.tier, state.lvl
     iter_max = schedule.iter_max
@@ -264,9 +261,6 @@ def parallel_tempering(
                 else:
                     model.revert(state, r, undos[r])
 
-            if record_trajectory:
-                trajectory.append(u_best)
-
         step += chunk
         if progress is not None and (step >= next_report or step >= iter_max):
             next_report = step + int(progress_every)
@@ -317,7 +311,6 @@ def parallel_tempering(
         swaps_attempted=swaps_attempted,
         swaps_accepted=swaps_accepted,
         refreshes=refreshes,
-        trajectory=tuple(trajectory),
     )
 
 
@@ -326,7 +319,6 @@ def solve_tempering(
     workload: WorkloadSpec,
     schedule: AnnealingSchedule,
     initial: Optional[TieringPlan] = None,
-    record_trajectory: bool = False,
     progress: Optional[Callable[[SolverProgress], None]] = None,
     progress_every: int = 500,
 ) -> AnnealingResult[TieringPlan]:
@@ -358,7 +350,6 @@ def solve_tempering(
         seed=solver.seed,
         replicas=solver.replicas,
         group_moves=solver._reuse_aware,
-        record_trajectory=record_trajectory,
         progress=progress,
         progress_every=progress_every,
     )
@@ -389,5 +380,4 @@ def solve_tempering(
         best_utility=canonical.utility,
         iterations=outcome.iterations,
         accepted=outcome.accepted,
-        trajectory=outcome.trajectory,
     )

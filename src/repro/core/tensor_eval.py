@@ -30,17 +30,16 @@ plans is scored in one vectorized pass:
   precomputed level vector.
 
 Exactness contract: the tensor path **guides the search only**.  Its
-utilities agree with :func:`~repro.core.utility.evaluate_plan` to
-≤ 1e-9 relative (asserted by the parity suite and the scale benchmark);
-the best plan a search returns is always re-scored through the
-canonical ``evaluate_plan`` tail so reported metrics are bit-identical
-to the naive path.  Two documented guidance-only deviations exist in
-the *batched* reuse economics (:meth:`TensorWorkloadModel.utilities`):
-billed-capacity dedup is clamped at zero once per tier instead of once
-per reuse set, and holding costs use the final discounted makespan for
-every set instead of the running value — both differ only when a clamp
-binds, and the sequential :meth:`TensorWorkloadModel.plan_utility` path
-(used by the parity gates) replicates the canonical order exactly.
+batched utilities (:meth:`TensorWorkloadModel.utilities`) agree with
+:func:`~repro.core.utility.evaluate_plan` to ≤ 1e-9 relative — the
+parity suite and the scale benchmark gate exactly that — and the best
+plan a search returns is always re-scored through the canonical
+``evaluate_plan``, so reported metrics are bit-identical to the naive
+path.  Two documented guidance-only deviations exist in the batched
+reuse economics: billed-capacity dedup is clamped at zero once per
+tier instead of once per reuse set, and holding costs use the final
+discounted makespan for every set instead of the running value.  Both
+differ only when a clamp binds.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..errors import PlanError
 from ..profiler.models import ModelMatrix
-from ..units import gb_to_mb
 from ..workloads.spec import WorkloadSpec
-from .perf_model import _effective_waves, staging_seconds
-from .plan import Placement, TieringPlan
+from .perf_model import eq1_static_terms
+from .plan import CAPACITY_MULTIPLIERS, Placement, TieringPlan
 
 __all__ = [
     "TensorWorkloadModel",
@@ -69,10 +67,6 @@ __all__ = [
     "bandwidth_tensor",
     "job_statics",
 ]
-
-#: Mirrors repro.core.solver.CAPACITY_MULTIPLIERS (imported lazily to
-#: avoid a circular import — solver imports this module's consumers).
-_CAPACITY_MULTIPLIERS: Tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
 
 #: Channels of the per-(replica, app, tier) statistic vector:
 #: 0–2 Eq. 1 phase pre-terms (map/shuffle/reduce), 3 ephSSD staging
@@ -237,24 +231,9 @@ def job_statics(
     st.io = np.empty(N, dtype=float)
     st.fp = np.empty(N, dtype=float)
     for i, job in enumerate(jobs):
-        m, r = job.map_tasks, job.reduce_tasks
-        waves_m = _effective_waves(
-            m, cluster_spec.total_map_slots, job.app.cpu_intensive
-        )
-        waves_r = _effective_waves(
-            r, cluster_spec.total_reduce_slots, job.app.cpu_intensive
-        )
         st.app_idx[i] = apos[job.app.name]
-        st.pre[i, 0] = waves_m * gb_to_mb(job.input_gb / m)
-        st.pre[i, 1] = waves_r * gb_to_mb(job.intermediate_gb / r)
-        st.pre[i, 2] = waves_r * gb_to_mb(job.output_gb / r)
-        download = staging_seconds(job.input_gb, m, cluster_spec, provider)
-        upload = staging_seconds(
-            job.output_gb,
-            r * job.app.files_per_reduce_task,
-            cluster_spec,
-            provider,
-        )
+        *pre, download, upload = eq1_static_terms(job, cluster_spec, provider)
+        st.pre[i] = pre
         st.download[i] = download
         st.stage_s[i] = download + upload
         st.inter[i] = job.intermediate_gb
@@ -351,10 +330,6 @@ class TensorBatchState:
         self.lvl = lvl
         self.stats: np.ndarray = np.empty(0)
 
-    @property
-    def replicas(self) -> int:
-        return self.tier.shape[0]
-
 
 class TensorWorkloadModel:
     """Dense-tensor view of one workload's Eq. 1–6 objective.
@@ -403,10 +378,10 @@ class TensorWorkloadModel:
         self.fp = st.fp
 
         # -- capacity levels: level 0 = custom, 1.. = footprint × mult --
-        self.n_levels = L = 1 + len(_CAPACITY_MULTIPLIERS)
+        self.n_levels = L = 1 + len(CAPACITY_MULTIPLIERS)
         self.cap_levels = np.empty((N, L), dtype=float)
         self.cap_levels[:, 0] = self.fp
-        for k, mult in enumerate(_CAPACITY_MULTIPLIERS):
+        for k, mult in enumerate(CAPACITY_MULTIPLIERS):
             self.cap_levels[:, k + 1] = self.fp * mult
         self._lvl_sums_stale = True
 
@@ -644,76 +619,6 @@ class TensorWorkloadModel:
         hours = np.ceil(mk / 3600.0)
         storage = hours * (billed @ self.price) + extra
         return (60.0 / mk) / (vm + storage)
-
-    # -- exact single-plan path (parity gates) ---------------------------------
-
-    def plan_utility(self, tier: np.ndarray, lvl: np.ndarray) -> float:
-        """Utility of one encoded plan, canonical reuse semantics.
-
-        Vectorized over jobs, but the §3.1.3 reuse tail replays
-        :func:`~repro.core.utility.finalize_plan_metrics` sequentially
-        (per-set clamps, running-makespan holding, multi-tier sets), so
-        this path agrees with ``evaluate_plan`` to ≤ 1e-9 relative on
-        *any* plan — the parity suite asserts exactly that.
-        """
-        tier = np.asarray(tier, dtype=np.int64)
-        lvl = np.asarray(lvl, dtype=np.int64)
-        N, T = self.n_jobs, self.n_tiers
-        cap = self.cap_levels[self._arangeN, lvl]
-        agg = np.bincount(tier, weights=cap, minlength=T)
-        pvc = agg / self.n_vms
-        np.minimum(pvc, self.max_pvc, out=pvc)
-        np.maximum(pvc, 10.0, out=pvc)
-        qi = np.rint(pvc).astype(np.int64)
-        aj = self.app_idx
-        lo = self.lo[aj, tier]
-        idx = np.clip(qi[tier], lo, self.hi[aj, tier]) - lo
-        bw = self.bw[aj, tier, idx]  # (N, 3)
-        tot = (
-            self.pre[:, 0] / bw[:, 0]
-            + self.pre[:, 1] / bw[:, 1]
-            + self.pre[:, 2] / bw[:, 2]
-        )
-        if self.eph_pos >= 0:
-            tot = tot + np.where(tier == self.eph_pos, self.stage_s, 0.0)
-        makespan = float(tot.sum())
-        own = np.where(self.has_ri[tier], np.maximum(cap - self.inter, self.io), cap)
-        billed = np.bincount(tier, weights=own, minlength=T)
-        for routed, route in ((self.inter, self.ri_idx), (self.io, self.rb_idx)):
-            dst = route[tier]
-            mask = dst >= 0
-            if mask.any():
-                billed += np.bincount(
-                    np.where(mask, dst, 0), weights=routed * mask, minlength=T
-                )
-        extra_usd = 0.0
-        if self.reuse_aware and self.n_sets:
-            for s, ns in enumerate(self.set_members):
-                tiers_here = set(int(t) for t in tier[ns])
-                shared = float(self.set_shared[s])
-                if len(tiers_here) == 1:
-                    t = next(iter(tiers_here))
-                    if t == self.eph_pos:
-                        makespan -= float(self.set_disc[s])
-                    dup = float(self.set_dup[s])
-                    billed[t] = max(0.0, billed[t] - dup)
-                    if self.rb_idx[t] >= 0:
-                        billed[self.rb_idx[t]] = max(
-                            0.0, billed[self.rb_idx[t]] - dup
-                        )
-                extra_s = max(0.0, float(self.set_window[s]) - makespan)
-                if extra_s > 0:
-                    hours_e = math.ceil(extra_s / 3600.0)
-                    for t in tiers_here:
-                        extra_usd += shared * self.price[t] * hours_e
-                        if self.rb_idx[t] >= 0:
-                            extra_usd += shared * self.price[self.rb_idx[t]] * hours_e
-        if makespan <= 0:
-            raise PlanError("plan evaluates to a non-positive makespan")
-        vm = self.n_vms * self.vm_rate * (makespan / 60.0)
-        hours = math.ceil(makespan / 3600.0)
-        storage = float(billed @ self.price) * hours + extra_usd
-        return (1.0 / (makespan / 60.0)) / (vm + storage)
 
     # -- move kernels (incremental statistic updates) --------------------------
 

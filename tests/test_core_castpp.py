@@ -6,6 +6,7 @@ from repro.cloud.storage import Tier
 from repro.core.annealing import AnnealingSchedule
 from repro.core.castpp import CastPlusPlus, evaluate_workflow_plan
 from repro.core.plan import TieringPlan
+from repro.errors import SolverError
 from repro.workloads.apps import GREP, SORT
 from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
 from repro.workloads.workflow import search_engine_workflow
@@ -128,6 +129,16 @@ class TestWorkflowSolver:
         suite = evaluation_workflow_suite()[:2]
         results = castpp.solve_workflows(suite)
         assert set(results) == {wf.name for wf in suite}
+
+    def test_solve_workflows_rejects_duplicate_names(self, castpp):
+        # Results are keyed by name: a twin would silently replace the
+        # first workflow's plan.
+        twins = [
+            search_engine_workflow(deadline_s=3000.0),
+            search_engine_workflow(deadline_s=1.0),
+        ]
+        with pytest.raises(SolverError, match="duplicate workflow name"):
+            castpp.solve_workflows(twins)
 
     def test_dfs_neighbor_walks_the_dag(self, castpp, rng):
         wf = search_engine_workflow(deadline_s=2000.0)

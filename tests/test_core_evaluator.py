@@ -79,15 +79,20 @@ def random_changes(workload, provider, plan, rng):
     return ((job.job_id, Placement(tier=tier, capacity_gb=job.footprint_gb * mult)),)
 
 
-def assert_matches_naive(evaluation, workload, plan, matrix, provider, reuse_aware):
+def assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware):
+    """The evaluator's base state (after ``reset``/``accept``) equals
+    ``evaluate_plan`` on ``plan``: utility, makespan, cost, billed
+    capacities, and each job's memoized runtime."""
     ref = evaluate_plan(
         workload, plan, CLUSTER, matrix, provider, reuse_aware=reuse_aware
     )
-    assert evaluation.utility == ref.utility
-    assert evaluation.makespan_s == ref.makespan_s
-    assert dict(evaluation.capacity_gb) == dict(ref.capacity_gb)
-    assert evaluation.cost == ref.cost
-    assert dict(evaluation.per_job) == dict(ref.per_job)
+    base = ev._base
+    assert ev.base_utility == ref.utility
+    assert ev.base_makespan_s == ref.makespan_s
+    assert ev.base_cost == ref.cost
+    assert base.billed == dict(ref.capacity_gb)
+    runtimes = {jid: float(base.tot[s]) for jid, s in base.slot.items()}
+    assert runtimes == {jid: est.total_s for jid, est in ref.per_job.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +108,8 @@ class TestFullEvaluationParity:
         workload = make_workload()
         plan = seed_plan(workload, provider)
         ev = PlanEvaluator(workload, CLUSTER, matrix, provider, reuse_aware=reuse_aware)
-        assert_matches_naive(
-            ev.evaluate(plan), workload, plan, matrix, provider, reuse_aware
-        )
+        ev.reset(plan)
+        assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
     def test_overprovisioned_plan(self, deployment, reuse_aware):
         provider, matrix = DEPLOYMENTS[deployment]
@@ -120,19 +124,8 @@ class TestFullEvaluationParity:
             }
         )
         ev = PlanEvaluator(workload, CLUSTER, matrix, provider, reuse_aware=reuse_aware)
-        assert_matches_naive(
-            ev.evaluate(plan), workload, plan, matrix, provider, reuse_aware
-        )
-
-    def test_call_protocol_returns_utility(self, deployment, reuse_aware):
-        provider, matrix = DEPLOYMENTS[deployment]
-        workload = make_workload(n_jobs=6)
-        plan = seed_plan(workload, provider)
-        ev = PlanEvaluator(workload, CLUSTER, matrix, provider, reuse_aware=reuse_aware)
-        ref = evaluate_plan(
-            workload, plan, CLUSTER, matrix, provider, reuse_aware=reuse_aware
-        )
-        assert ev(plan) == ref.utility
+        ev.reset(plan)
+        assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +154,7 @@ class TestMoveSequenceParity:
             if rng.random() < 0.6:
                 ev.accept()
                 plan = neighbor
-                assert_matches_naive(
-                    ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
-                )
+                assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
     def test_noop_move_returns_base_utility(self, deployment, reuse_aware):
         provider, matrix = DEPLOYMENTS[deployment]
@@ -175,9 +166,7 @@ class TestMoveSequenceParity:
         changes = ((jid, plan.placements[jid]),)
         assert ev.propose(plan.with_placements(changes), PlanMove(changes)) == base_u
         ev.accept()
-        assert_matches_naive(
-            ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
-        )
+        assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
 
 class TestProposalSafety:
@@ -273,9 +262,7 @@ def test_property_random_move_sequences_agree(
         assert u_inc == ref.utility
         ev.accept()
         plan = neighbor
-        final = ev.last_evaluation
-        assert final.makespan_s == ref.makespan_s
-        assert dict(final.capacity_gb) == dict(ref.capacity_gb)
+        assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
 
 def reuse_workload(n_jobs, seed):
@@ -389,9 +376,7 @@ def test_property_large_workloads_with_reuse_and_deltas(
             workload, plan, added, gone = delta_step(workload, plan, provider, rng, step)
             u = ev.apply_workload_delta(workload, plan, added, gone)
             assert u == naive(workload, plan).utility
-            assert_matches_naive(
-                ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
-            )
+            assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
             continue
         changes = random_changes(workload, provider, plan, rng)
         neighbor = plan.with_placements(changes)
@@ -405,9 +390,7 @@ def test_property_large_workloads_with_reuse_and_deltas(
             # Aggregates feed the bandwidth lookup only after 1 GB
             # quantization, so check their plan-order sums directly.
             assert ev._base.agg == plan.aggregate_capacity_gb()
-            assert_matches_naive(
-                ev.last_evaluation, workload, plan, matrix, provider, reuse_aware
-            )
+            assert_matches_naive(ev, workload, plan, matrix, provider, reuse_aware)
 
 
 def test_castpp_solve_counters_are_pinned():

@@ -110,7 +110,7 @@ class TestMinMissRate:
             search_engine_workflow(deadline_s=3000.0),
             search_engine_workflow(deadline_s=1.0),
         ]
-        # Rename the second so ids do not collide in the outcome map.
+        # Plans are keyed by workflow name, so the twin needs its own.
         from repro.workloads.workflow import Workflow
 
         wf2 = Workflow(
@@ -125,3 +125,22 @@ class TestMinMissRate:
             workflows=[wfs[0], wf2], schedule=fast_schedule,
         )
         assert outcome.objective_value == 1.0
+
+
+@pytest.mark.parametrize(
+    "goal", [TenantGoal.MIN_MISS_RATE, TenantGoal.MIN_COST_UNDER_DEADLINES]
+)
+def test_duplicate_workflow_names_rejected(goal, char_cluster, matrix,
+                                           provider, fast_schedule):
+    """Two workflows under one name would leave one plan in the outcome
+    while the objective still counted both."""
+    wfs = [
+        search_engine_workflow(deadline_s=3000.0),
+        search_engine_workflow(deadline_s=1.0),
+    ]
+    with pytest.raises(SolverError, match="duplicate workflow name"):
+        solve_for_goal(
+            goal,
+            cluster_spec=char_cluster, matrix=matrix, provider=provider,
+            workflows=wfs, schedule=fast_schedule,
+        )

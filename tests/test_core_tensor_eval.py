@@ -129,20 +129,6 @@ class TestBatchParity:
         )
         assert batch[0] == pytest.approx(canonical.utility, rel=PARITY_RTOL)
 
-    def test_plan_utility_exact_path_matches_canonical(self):
-        model = TensorWorkloadModel(WORKLOAD, CLUSTER, MATRIX, PROVIDER)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            tier = rng.integers(model.n_tiers, size=model.n_jobs)
-            lvl = rng.integers(1, model.n_levels, size=model.n_jobs)
-            canonical = evaluate_plan(
-                WORKLOAD, model.decode_plan(tier, lvl),
-                CLUSTER, MATRIX, PROVIDER,
-            )
-            assert model.plan_utility(tier, lvl) == pytest.approx(
-                canonical.utility, rel=PARITY_RTOL
-            )
-
 
 class TestTemperingBackend:
     @pytest.mark.parametrize("cls,workload,reuse", [
