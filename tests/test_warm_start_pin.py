@@ -68,9 +68,7 @@ def _replan_record(r):
         "makespan_s": r.makespan_s, "cost_total_usd": r.cost_total_usd,
         "added": list(r.added), "removed": list(r.removed),
         "resident_jobs": r.resident_jobs,
-        # Rounded: the mix distance sums over a set of app names, so
-        # its last bit depends on PYTHONHASHSEED.
-        "drift_distance": round(r.drift_distance, 12),
+        "drift_distance": r.drift_distance,
         "escalated": r.escalated,
         "parity_ok": r.parity_ok,
         "plan": r.plan.to_dict() if r.plan is not None else None,
