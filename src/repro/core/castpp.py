@@ -229,15 +229,27 @@ class CastPlusPlus(CastSolver):
                 rs = workload.reuse_set_of(j.job_id)
                 groups[j.job_id] = sorted(rs.job_ids) if rs is not None else [j.job_id]
 
+        # Move tables: the tiers a move can go to from each tier, and
+        # one shared immutable Placement per (job, tier, capacity).
+        others_of = {t: [o for o in tiers if o is not t] for t in tiers}
+        placed: Dict[Any, Placement] = {}
+
+        def placement(jid: str, tier: Any, capacity_gb: float) -> Placement:
+            key = (jid, tier, capacity_gb)
+            p = placed.get(key)
+            if p is None:
+                p = placed[key] = Placement(tier=tier, capacity_gb=capacity_gb)
+            return p
+
         def move(plan: TieringPlan, rng: np.random.Generator) -> Neighbor[TieringPlan]:
             job = jobs[rng.integers(len(jobs))]
             group = groups[job.job_id]
-            current = plan.placements[job.job_id]
+            placements = plan.placements
             kind = rng.integers(3)
-            tier = current.tier
+            tier = placements[job.job_id].tier
             mult_choice = None
             if kind in (0, 2):
-                others = [t for t in tiers if t is not tier]
+                others = others_of[tier]
                 tier = others[rng.integers(len(others))]
             if kind in (1, 2):
                 mult_choice = CAPACITY_MULTIPLIERS[rng.integers(len(CAPACITY_MULTIPLIERS))]
@@ -246,11 +258,9 @@ class CastPlusPlus(CastSolver):
                 mult = (
                     mult_choice
                     if mult_choice is not None
-                    else max(1.0, plan.placements[jid].capacity_gb / fp[jid])
+                    else max(1.0, placements[jid].capacity_gb / fp[jid])
                 )
-                changes.append(
-                    (jid, Placement(tier=tier, capacity_gb=fp[jid] * mult))
-                )
+                changes.append((jid, placement(jid, tier, fp[jid] * mult)))
             changes = tuple(changes)
             return Neighbor(plan.with_placements(changes), PlanMove(changes))
 

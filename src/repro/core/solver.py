@@ -196,6 +196,12 @@ class CastSolver:
         default=None, init=False, repr=False, compare=False
     )
 
+    #: The last :meth:`evaluate` report with the workload, plan and
+    #: ``reuse_aware`` it was made for (see :meth:`evaluate`).
+    _last_report: Optional[
+        Tuple[WorkloadSpec, TieringPlan, bool, PlanEvaluation]
+    ] = field(default=None, init=False, repr=False, compare=False)
+
     # -- objective ------------------------------------------------------------
 
     _reuse_aware: bool = field(default=False, init=False, repr=False)
@@ -475,11 +481,25 @@ class CastSolver:
     def evaluate(
         self, workload: WorkloadSpec, plan: TieringPlan, reuse_aware: bool = True
     ) -> PlanEvaluation:
-        """Report-grade evaluation of a plan (reuse-aware by default)."""
-        return evaluate_plan(
+        """Report-grade evaluation of a plan (reuse-aware by default).
+
+        Asking again for the same workload and plan objects with the
+        same ``reuse_aware`` returns the last report instead of
+        re-scoring: a tempering solve's canonical re-score of its best
+        plan is then also the report the caller asks for next.
+        """
+        last = self._last_report
+        if (
+            last is not None and last[0] is workload and last[1] is plan
+            and last[2] == reuse_aware
+        ):
+            return last[3]
+        evaluation = evaluate_plan(
             workload, plan, self.cluster_spec, self.matrix, self.provider,
             reuse_aware=reuse_aware,
         )
+        self._last_report = (workload, plan, reuse_aware, evaluation)
+        return evaluation
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,45 @@ class TestTemperingBackend:
         assert solver.last_tempering["canonical_utility"] == canonical.utility
         assert solver.last_tempering["replicas"] == 4
 
+    @pytest.mark.parametrize("use_castpp,rescores", [
+        (True, [True]),
+        (False, [False, True]),
+    ])
+    def test_winner_rescored_once_per_world_view(
+        self, monkeypatch, use_castpp, rescores
+    ):
+        # CAST++'s canonical re-score is reuse-aware, like the report
+        # plan_workload asks for, so it doubles as that report; basic
+        # CAST's reuse-oblivious re-score stays a separate evaluation.
+        import repro
+        import repro.core.solver as solver_mod
+        import repro.core.tempering as tempering_mod
+
+        calls = []
+        real = solver_mod.evaluate_plan
+
+        def counting(workload, plan, *args, **kwargs):
+            calls.append((plan, kwargs.get("reuse_aware")))
+            return real(workload, plan, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "evaluate_plan", counting)
+        monkeypatch.setattr(tempering_mod, "evaluate_plan", counting, raising=False)
+        outcome = repro.plan_workload(
+            FB, n_vms=25, provider=PROVIDER, use_castpp=use_castpp,
+            iterations=100, seed=3, backend="tempering", replicas=4,
+        )
+        winner = [reuse for plan, reuse in calls if plan is outcome.plan]
+        assert winner == rescores
+        report = real(
+            FB, outcome.plan, outcome.solver.cluster_spec, MATRIX, PROVIDER,
+            reuse_aware=True,
+        )
+        assert outcome.evaluation.utility == report.utility
+        assert outcome.solver.last_tempering["canonical_utility"] == real(
+            FB, outcome.plan, outcome.solver.cluster_spec, MATRIX, PROVIDER,
+            reuse_aware=use_castpp,
+        ).utility
+
     def test_same_seed_same_plan(self):
         a = make_solver(backend="tempering", replicas=4).solve(WORKLOAD)
         b = make_solver(backend="tempering", replicas=4).solve(WORKLOAD)
