@@ -17,11 +17,12 @@ incremental single-chain iteration while evaluating M× the candidates.
 
 Determinism
 -----------
-Mirrors the service pool's multi-start seeding
-(:func:`repro.service.pool.restart_seeds`): replica 0 draws from
-``default_rng(seed)`` — the request seed — and replicas 1..M-1 from the
-first M-1 children of ``SeedSequence(seed)``; the swap schedule has its
-own dedicated stream (child M-1), and swap rounds visit adjacent ladder
+Replica streams come from the program's one seed rule
+(:func:`repro.workers.spawn_seeds`, which also seeds the solver pool's
+restarts): ``spawn_seeds(seed, M + 1)`` gives replica 0 the request
+seed itself and replicas 1..M-1 the first M-1 ``SeedSequence``
+children of the seed; the swap schedule has its own dedicated stream
+(the last slot, child M-1), and swap rounds visit adjacent ladder
 pairs in a fixed alternating-parity order.  Each replica stream yields
 one block of mixed-radix move codes and one block of Metropolis
 uniforms per swap period (block lengths depend only on the schedule),
@@ -65,6 +66,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..obs.progress import SolverProgress
+from ..workers import spawn_seeds
 from ..workloads.spec import WorkloadSpec
 from .annealing import _MIN_METROPOLIS_EXPONENT, AnnealingResult, AnnealingSchedule
 from .plan import TieringPlan
@@ -105,14 +107,8 @@ def _replica_streams(
     seed: int, replicas: int
 ) -> Tuple[List[np.random.Generator], np.random.Generator]:
     """Replica RNG streams + the dedicated swap stream (see module doc)."""
-    rngs = [np.random.default_rng(seed)]
-    children = np.random.SeedSequence(seed).spawn(replicas)
-    rngs.extend(
-        np.random.default_rng(int(child.generate_state(1)[0]))
-        for child in children[: replicas - 1]
-    )
-    swap_rng = np.random.default_rng(int(children[replicas - 1].generate_state(1)[0]))
-    return rngs, swap_rng
+    streams = [np.random.default_rng(s) for s in spawn_seeds(seed, replicas + 1)]
+    return streams[:-1], streams[-1]
 
 
 def parallel_tempering(

@@ -165,11 +165,17 @@ class PlanTail:
         provider: CloudProvider,
         download_of: Callable[[str], float],
         reuse_aware: bool = False,
+        staged_once: bool = True,
     ) -> None:
         """``download_of(job_id)`` is a job's objStore download time on
         ephSSD.  Only sets placed wholly on ephSSD read their discounts,
         so it must be exact for a member whenever every member of its
-        set is on ephSSD (static download times always are)."""
+        set is on ephSSD (static download times always are).
+
+        ``staged_once=False`` keeps every set's holding but takes no
+        dedup and no discount (zero duplicate GB, no downloads skipped):
+        a plan that was not reuse-engineered provisions and stages each
+        member on its own, yet its shared data must still be held."""
         self.cluster_spec = cluster_spec
         self.provider = provider
         self.backing = {
@@ -178,13 +184,16 @@ class PlanTail:
         sets = []
         if reuse_aware:
             for members, shared_gb, window_s in workload.reuse_table:
-                # One staged copy serves every member: all but the
-                # largest download are skipped, smallest first.
-                by_dl = sorted(members, key=download_of)
-                sets.append((
-                    members[0], members[1:], (len(members) - 1) * shared_gb,
-                    shared_gb, window_s, tuple(download_of(j) for j in by_dl[:-1]),
-                ))
+                dup, discounts = 0.0, ()
+                if staged_once:
+                    # One staged copy serves every member: all but the
+                    # largest download are skipped, smallest first.
+                    by_dl = sorted(members, key=download_of)
+                    dup = (len(members) - 1) * shared_gb
+                    discounts = tuple(download_of(j) for j in by_dl[:-1])
+                sets.append(
+                    (members[0], members[1:], dup, shared_gb, window_s, discounts)
+                )
         self.sets = tuple(sets)
 
 

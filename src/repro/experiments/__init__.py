@@ -43,7 +43,8 @@ from .fig8 import Fig8Point, Fig8Result, format_fig8, run_fig8
 from .fig9 import Fig9Config, Fig9Result, format_fig9, run_fig9
 from .measure import PlanMeasurement, measure_plan
 from .report import generate_report
-from .runner import ExperimentRunner, SimReport, sim_report, spawn_seeds
+from ..workers import spawn_seeds
+from .runner import ExperimentRunner, SimReport, sim_report
 from .sensitivity import (
     SensitivityRow,
     format_price_sensitivity,

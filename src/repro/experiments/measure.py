@@ -20,9 +20,9 @@ from typing import Dict, List, Mapping, Optional
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
-from ..core.cost import CostBreakdown, deployment_cost, holding_cost
+from ..core.cost import CostBreakdown
 from ..core.plan import TieringPlan
-from ..core.utility import per_vm_capacity, tenant_utility
+from ..core.utility import PlanTail, finalize_plan_metrics, per_vm_capacity
 from ..simulator.engine import HELPER_INTERMEDIATE_GB_PER_VM, simulate_job
 from ..simulator.metrics import JobSimResult
 from ..workloads.spec import WorkloadSpec
@@ -102,35 +102,20 @@ def measure_plan(
         results[job.job_id] = res
         makespan += res.total_s
 
+    # The reuse economics and pricing tail of evaluate_plan, on the
+    # simulated download times.
     billed = plan.billed_capacity_gb(workload, prov)
-    extra_holding = 0.0
-    for members, shared_gb, window_s in workload.reuse_table:
-        # First-member tier order keeps the holding sum reproducible
-        # (see finalize_plan_metrics).
-        tiers = list(dict.fromkeys(plan.tier_of(j) for j in members))
-        if reuse_engineered and len(tiers) == 1:
-            tier = tiers[0]
-            if tier is Tier.EPH_SSD:
-                # Data staged once; later accesses find it warm.
-                by_dl = sorted(members, key=lambda j: results[j].download_s)
-                for j in by_dl[:-1]:
-                    makespan -= results[j].download_s
-            dup = (len(members) - 1) * shared_gb
-            billed[tier] = max(0.0, billed.get(tier, 0.0) - dup)
-            backing = prov.service(tier).requires_backing
-            if backing is not None:
-                billed[backing] = max(0.0, billed.get(backing, 0.0) - dup)
-        extra_s = max(0.0, window_s - makespan)
-        if extra_s > 0:
-            for tier in tiers:
-                extra_holding += holding_cost(prov, tier, shared_gb, extra_s)
-
-    cost = deployment_cost(prov, cluster_spec, makespan, billed)
-    cost = CostBreakdown(vm_usd=cost.vm_usd, storage_usd=cost.storage_usd + extra_holding)
+    tail = PlanTail(
+        workload, cluster_spec, prov, lambda j: results[j].download_s,
+        reuse_aware=True, staged_once=reuse_engineered,
+    )
+    makespan, cost, utility = finalize_plan_metrics(
+        tail, plan.placements, makespan, billed
+    )
     return PlanMeasurement(
         makespan_s=makespan,
         cost=cost,
-        utility=tenant_utility(makespan, cost.total_usd),
+        utility=utility,
         per_job=results,
         capacity_gb=billed,
     )

@@ -2,10 +2,10 @@
 
 Every ground-truth number in the Fig. 1–9 experiments comes from
 simulating independent (configuration, job) or (configuration,
-workflow) pairs — an embarrassingly parallel workload the evaluation
-previously ran strictly serially.  :class:`ExperimentRunner` fans these
-out over a ``ProcessPoolExecutor`` while keeping the reported numbers
-*identical* to a serial run:
+workflow) pairs — an embarrassingly parallel workload.
+:class:`ExperimentRunner` fans these out over the program's one
+:class:`~repro.workers.WorkerPool` (worker processes) while keeping the
+reported numbers *identical* to a serial run:
 
 * results come back in submission order, so every downstream sum
   replays the serial accumulation order (bit-exactness rule from
@@ -17,10 +17,11 @@ out over a ``ProcessPoolExecutor`` while keeping the reported numbers
 * workers inherit the parent's channel/cache environment through the
   task payload, so ``REPRO_SIM_REFERENCE`` flips made *after* the pool
   spawned still apply;
-* seeds for randomized studies derive via :func:`spawn_seeds` — the
-  same ``SeedSequence`` discipline as the planning service's
-  multi-start pool (:func:`repro.service.pool.restart_seeds`), with
-  slot 0 pinned to the request seed.
+* worker spans and metric deltas come home through the pool, like the
+  solver pool's restarts;
+* seeds for randomized studies derive via
+  :func:`~repro.workers.spawn_seeds`, the program's one seed rule
+  (slot 0 pinned to the request seed).
 
 ``workers=None`` (or 0/1) is the serial mode: no pool, no pickling,
 just the plain loop — the default everywhere, so nothing changes for
@@ -31,11 +32,8 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
@@ -62,6 +60,7 @@ from ..simulator.storage_backend import (
     use_reference_channel,
 )
 from ..simulator.vectorized import ANALYTIC_ENV
+from ..workers import WorkerPool
 from ..workloads.spec import JobSpec
 from ..workloads.workflow import Workflow
 
@@ -69,7 +68,6 @@ __all__ = [
     "ExperimentRunner",
     "SimReport",
     "sim_report",
-    "spawn_seeds",
     "simulate_job_task",
     "simulate_batch_task",
     "simulate_workflow_task",
@@ -80,23 +78,6 @@ logger = logging.getLogger(__name__)
 
 #: A job-simulation request: (job, input tier, per-VM caps or None).
 JobSim = Tuple[JobSpec, Tier, Optional[Mapping[Tier, float]]]
-
-
-def spawn_seeds(seed: int, n: int) -> List[int]:
-    """``n`` deterministic, well-separated seeds for parallel studies.
-
-    Slot 0 reuses ``seed`` unchanged; slots 1..n-1 come from
-    ``SeedSequence(seed).spawn`` — the exact discipline of the service
-    pool's :func:`~repro.service.pool.restart_seeds`, so a fan-out's
-    first worker always reproduces the corresponding serial run.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one seed, got n={n}")
-    seeds = [int(seed)]
-    if n > 1:
-        children = np.random.SeedSequence(int(seed)).spawn(n - 1)
-        seeds.extend(int(child.generate_state(1)[0]) for child in children)
-    return seeds
 
 
 def _sim_env() -> Dict[str, str]:
@@ -170,7 +151,7 @@ def simulate_workflow_chunk_task(payload: Tuple[Any, ...]) -> List[WorkloadSimRe
     ]
 
 
-class ExperimentRunner:
+class ExperimentRunner(WorkerPool):
     """Ordered fan-out of independent simulations over worker processes.
 
     Parameters
@@ -192,59 +173,25 @@ class ExperimentRunner:
 
     def __init__(self, workers: Optional[int] = None, fast_path: bool = False) -> None:
         self.workers = int(workers or 0)
+        super().__init__(self.workers)
         self.fast_path = bool(fast_path)
-        self._pool: Optional[ProcessPoolExecutor] = None
         self.tasks_run = 0
         self.tasks_deduped = 0
         self.batches = 0
-
-    def bind_metrics(self, registry: Any, key: str = "experiment_runner") -> None:
-        """Mirror runner counters into ``registry`` via a keyed collector.
-
-        Publishes ``cast_runner_tasks_total{stage=run|deduped}`` and
-        ``cast_runner_batches_total`` from the plain ints above —
-        the dispatch path stays uninstrumented.
-        """
-
-        def _mirror(reg: Any) -> None:
-            tasks = reg.counter(
-                "cast_runner_tasks_total",
-                "Simulation tasks by outcome",
-                labelnames=("stage",),
-            )
-            tasks.set_total(self.tasks_run, stage="run")
-            tasks.set_total(self.tasks_deduped, stage="deduped")
-            reg.counter(
-                "cast_runner_batches_total", "Simulation batches dispatched"
-            ).set_total(self.batches)
-
-        registry.register_collector(key, _mirror)
-
-    # -- lifecycle ---------------------------------------------------------
 
     @property
     def parallel(self) -> bool:
         """Whether this runner dispatches to worker processes."""
         return self.workers > 1
 
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- generic ordered map ----------------------------------------------
+    def _fan(self, fn: Callable[[Any], Any], payloads: List[Any]) -> List[Any]:
+        """Ordered results: in-process unless there is work to spread."""
+        if not self.parallel or len(payloads) <= 1:
+            return [fn(p) for p in payloads]
+        logger.debug(
+            "dispatching %d tasks to %d workers", len(payloads), self.workers
+        )
+        return super().map(fn, payloads)
 
     def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to every payload, results in submission order.
@@ -255,13 +202,7 @@ class ExperimentRunner:
         payloads = list(payloads)
         self.batches += 1
         self.tasks_run += len(payloads)
-        if not self.parallel or len(payloads) <= 1:
-            return [fn(p) for p in payloads]
-        logger.debug(
-            "dispatching batch of %d tasks to %d workers",
-            len(payloads), self.workers,
-        )
-        return list(self._executor().map(fn, payloads))
+        return self._fan(fn, payloads)
 
     # -- simulation fan-out ------------------------------------------------
 
@@ -365,18 +306,12 @@ class ExperimentRunner:
         """Fan chunks of job requests over the pool, in order."""
         if not items:
             return []
-        chunks = _chunked(items, self.workers)
-        payloads = [(chunk, cluster_spec, provider, env, fast) for chunk in chunks]
-        logger.debug(
-            "dispatching %d sims as %d chunks to %d workers",
-            len(items), len(chunks), self.workers,
-        )
-        if len(payloads) == 1:
-            parts = [simulate_batch_task(payloads[0])]
-        else:
-            parts = list(self._executor().map(simulate_batch_task, payloads))
+        payloads = [
+            (chunk, cluster_spec, provider, env, fast)
+            for chunk in _chunked(items, self.workers)
+        ]
         results: List[JobSimResult] = []
-        for part in parts:
+        for part in self._fan(simulate_batch_task, payloads):
             results.extend(part)
         return results
 
@@ -400,19 +335,11 @@ class ExperimentRunner:
         fast = self.fast_path and not use_reference_channel()
         self.batches += 1
         self.tasks_run += len(normalized)
-        if not self.parallel or len(normalized) <= 1:
-            return [
-                simulate_workflow(
-                    wf, tier_of, cluster_spec, provider,
-                    per_vm_capacity_gb=caps, fast_path=fast,
-                )
-                for wf, tier_of, caps in normalized
-            ]
-        chunks = _chunked(normalized, self.workers)
         results: List[WorkloadSimResult] = []
-        for part in self._executor().map(
+        for part in self._fan(
             simulate_workflow_chunk_task,
-            [(chunk, cluster_spec, provider, env, fast) for chunk in chunks],
+            [(chunk, cluster_spec, provider, env, fast)
+             for chunk in _chunked(normalized, self.workers)],
         ):
             results.extend(part)
         return results

@@ -323,15 +323,10 @@ class MetricsRegistry:
 
     # -- snapshot / merge ---------------------------------------------------
 
-    def snapshot(self, run_collectors: bool = True) -> Dict[str, Any]:
-        """A JSON-able copy of every instrument's series.
-
-        ``run_collectors=False`` skips the mirror callbacks — the
-        worker-delta capture uses it so collector-published values
-        never double-count after a merge.
-        """
-        if run_collectors:
-            self.collect()
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-able copy of every instrument's series (collectors
+        run first, so mirrored counters are current)."""
+        self.collect()
         out: Dict[str, Any] = {}
         with self._lock:
             metrics = list(self._metrics.values())

@@ -14,8 +14,9 @@ in-memory ring collector can be switched off (``REPRO_OBS_TRACE=0``)
 for zero bookkeeping beyond the context itself.
 
 Crossing a process boundary is explicit: the parent captures
-:func:`current_context` into the task payload, the worker opens its
-root span with ``span(..., context=ctx)``, and the worker's finished
+:func:`current_context` into the task payload, the worker runs the
+task under :func:`use_context` (or opens its root span with
+``span(..., context=ctx)``), and the worker's finished
 spans travel back in the result (see :func:`capture_spans`) to be
 :func:`ingested <ingest>` into the parent collector — ids are globally
 unique, so adoption is append-only.
@@ -40,6 +41,7 @@ __all__ = [
     "span",
     "capture_spans",
     "current_context",
+    "use_context",
     "current_trace_id",
     "current_span_id",
     "new_trace_id",
@@ -222,6 +224,18 @@ def current_context() -> Optional[Dict[str, str]]:
     return dict(ctx) if ctx else None
 
 
+@contextmanager
+def use_context(context: Optional[Mapping[str, str]]) -> Iterator[None]:
+    """Run the block under ``context`` (a :func:`current_context` dict
+    from another thread or process): spans opened inside nest under
+    that remote parent.  ``None`` runs the block outside any span."""
+    token = _CURRENT.set(dict(context) if context else None)
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)
+
+
 class _OpenSpan:
     """Handle yielded by :func:`span` — mutate ``attrs``, read ids."""
 
@@ -285,19 +299,14 @@ def span(
 
 
 @contextmanager
-def capture_spans(enabled: bool = True) -> Iterator[List[SpanRecord]]:
+def capture_spans() -> Iterator[List[SpanRecord]]:
     """Divert spans finished in this context into the yielded list.
 
     Worker processes wrap their task body with this so finished spans
     ship home in the result payload instead of rotting in a collector
-    nobody will ever read.  ``enabled=False`` yields an empty list and
-    diverts nothing (the thread-mode pool shares the parent collector
-    directly, so capture would only duplicate).
+    nobody will ever read.
     """
     captured: List[SpanRecord] = []
-    if not enabled:
-        yield captured
-        return
     token = _CAPTURE.set(captured)
     try:
         yield captured

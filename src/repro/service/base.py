@@ -29,7 +29,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequ
 from ..cloud import resolve_provider
 from ..errors import CastError, ProtocolError
 from ..obs.flightrec import FlightRecorder, build_bundle, dump_bundle
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, use_registry
 from ..obs.sampler import SamplingProfiler
 from ..obs.slo import BurnPolicy, Objective, SLOEngine, Transition
 from ..obs.tracing import current_trace_id, span
@@ -277,7 +277,9 @@ class OpServer:
         req_id = request.get("id")
         params = request["params"]
         self._ops.inc(op=op)
-        with span(self.REQUEST_SPAN, attrs={"op": op}) as sp:
+        # The op's own recording (and its to_thread work, which copies
+        # this context) lands in this server's registry.
+        with use_registry(self.metrics), span(self.REQUEST_SPAN, attrs={"op": op}) as sp:
             started = time.monotonic()
             try:
                 if OP_TABLE[op].kind == CACHED:

@@ -1,4 +1,4 @@
-"""Multi-start solver pool on a ``ProcessPoolExecutor``.
+"""Multi-start solver pool on the program's one worker pool.
 
 Simulated annealing is a stochastic local search: one restart can stall
 in a utility basin.  The pool runs N restarts *in parallel* — same
@@ -6,9 +6,9 @@ request, different RNG seeds — and keeps the best-utility plan, which
 both raises plan quality and cuts wall-clock versus running a bigger
 single-start budget serially.
 
-Determinism: restart seeds derive from the request seed via
-``np.random.SeedSequence(seed).spawn()``, with restart 0 pinned to the
-request seed itself.  Consequences the tests assert:
+Determinism: restart seeds are :func:`~repro.workers.spawn_seeds` of
+the request seed (``restart_seeds`` is the same function), so restart
+0 *is* the request seed.  Consequences the tests assert:
 
 * the same (request, restarts) pair always yields the identical plan,
   regardless of pool size or completion order;
@@ -19,48 +19,30 @@ Workers call the pure module-level entry points
 (:func:`repro.core.solver.solve_workload_request`,
 :func:`repro.core.castpp.solve_workflow_request`), so every task
 pickles as plain dicts and the child processes share no state with the
-server.  ``processes=0`` swaps in threads — no fork, handy for
-in-process servers in tests and examples.
+server.  The fan-out itself — executor, trace context, shipping worker
+metrics and spans home — is :class:`~repro.workers.WorkerPool`'s;
+``processes=0`` swaps in threads (no fork, handy for in-process
+servers in tests and examples).
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
-import multiprocessing
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..errors import ServiceError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from ..workers import WorkerPool, spawn_seeds
 
 __all__ = ["DEFAULT_RESTARTS", "SolverPool", "restart_seeds", "solve_restart"]
-
-logger = logging.getLogger(__name__)
 
 #: Restart count used when a request does not ask for one.
 DEFAULT_RESTARTS = 4
 
-
-def restart_seeds(seed: int, restarts: int) -> List[int]:
-    """Per-restart RNG seeds, deterministic for a given request seed.
-
-    Restart 0 reuses the request seed unchanged (so the multi-start
-    winner can never fall below the single-start plan for that seed);
-    restarts 1..N-1 come from ``SeedSequence(seed).spawn``, giving
-    well-separated independent streams rather than ad-hoc offsets.
-    """
-    if restarts < 1:
-        raise ServiceError(f"restarts must be >= 1, got {restarts}")
-    seeds = [int(seed)]
-    if restarts > 1:
-        children = np.random.SeedSequence(int(seed)).spawn(restarts - 1)
-        seeds.extend(int(child.generate_state(1)[0]) for child in children)
-    return seeds
+#: Per-restart RNG seeds: the one seed rule, under the pool's name.
+restart_seeds = spawn_seeds
 
 
 def _dispatch_restart(task: Mapping[str, Any]) -> Dict[str, Any]:
@@ -96,62 +78,14 @@ def solve_restart(task: Mapping[str, Any]) -> Dict[str, Any]:
 
     ``task`` is ``{"op", "spec", "provider", "n_vms", "iterations",
     "seed", "use_castpp", "backend", "replicas"}`` — all JSON
-    primitives — plus two optional observability keys injected by
-    :class:`SolverPool`:
-
-    * ``_trace``: the parent's span context
-      (:func:`repro.obs.tracing.current_context`), so the restart span
-      nests under the pool's ``pool.solve`` even across a process
-      boundary;
-    * ``_metrics``: a live :class:`~repro.obs.metrics.MetricsRegistry`
-      — thread mode only (registries don't pickle, and don't need to:
-      threads share the parent's memory), bound as the ambient
-      registry for the restart.
-
-    In a *process* worker, metrics recorded by the solver land in that
-    worker's process-global registry; this body snapshots around the
-    solve and ships the delta (plus any spans finished inside) home in
-    ``result["obs"]`` for the pool to merge — the cross-process
-    roll-up half of the snapshot/merge protocol.
+    primitives.  The ``pool.restart`` span nests under the pool's
+    ``pool.solve``: the worker pool runs the task under the parent's
+    trace context, in a thread or across a process boundary.
     """
-    task = dict(task)
-    ctx = task.pop("_trace", None)
-    registry = task.pop("_metrics", None)
-    op = task.get("op")
-
-    def _run() -> Dict[str, Any]:
-        with obs_tracing.span(
-            "pool.restart",
-            attrs={"op": op, "seed": task.get("seed")},
-            context=ctx,
-        ):
-            return _dispatch_restart(task)
-
-    if registry is not None:
-        # Thread mode: record straight into the server's registry.
-        with obs_metrics.use_registry(registry):
-            return _run()
-    if multiprocessing.parent_process() is None:
-        # Direct call (tests, benchmarks): nothing to ship anywhere.
-        return _run()
-
-    # Process worker: capture what this restart did and send it home.
-    from ..simulator.cache import register_metrics as _register_sim_cache
-
-    reg = obs_metrics.get_registry()
-    _register_sim_cache(reg)
-    before = reg.snapshot()
-    with obs_tracing.capture_spans() as spans:
-        result = _run()
-    delta = obs_metrics.snapshot_delta(before, reg.snapshot())
-    obs: Dict[str, Any] = {}
-    if delta:
-        obs["metrics"] = delta
-    if spans:
-        obs["spans"] = [s.to_dict() for s in spans]
-    if obs:
-        result = dict(result, obs=obs)
-    return result
+    with obs_tracing.span(
+        "pool.restart", attrs={"op": task.get("op"), "seed": task.get("seed")}
+    ):
+        return _dispatch_restart(task)
 
 
 def _select_best(results: List[Dict[str, Any]], seeds: List[int]) -> Dict[str, Any]:
@@ -179,15 +113,15 @@ def _select_best(results: List[Dict[str, Any]], seeds: List[int]) -> Dict[str, A
     return best
 
 
-class SolverPool:
-    """Parallel multi-start solves over a process (or thread) executor.
+class SolverPool(WorkerPool):
+    """Parallel multi-start solves over a process (or thread) worker pool.
 
     Parameters
     ----------
     processes:
         Worker processes.  ``None`` → ``min(DEFAULT, cpu_count)``;
-        ``0`` → a thread executor (no fork; workers share the GIL but
-        tests and small demos don't care).
+        ``0`` → threads (no fork; workers share the GIL but tests and
+        small demos don't care).
     restarts:
         Default restart count for requests that don't specify one.
     """
@@ -198,13 +132,8 @@ class SolverPool:
         if restarts < 1:
             raise ServiceError(f"restarts must be >= 1, got {restarts}")
         self.restarts = int(restarts)
-        if processes is None:
-            processes = max(1, min(self.restarts, os.cpu_count() or 1))
-        self.processes = int(processes)
-        self._executor: Optional[Executor] = None
-        self._metrics: Optional[obs_metrics.MetricsRegistry] = None
-        self.tasks_started = 0
-        self.tasks_completed = 0
+        workers = max(1, min(self.restarts, os.cpu_count() or 1))
+        super().__init__(workers if processes is None else processes, threads=workers)
         self.solves_completed = 0
 
     def bind_metrics(
@@ -214,11 +143,10 @@ class SolverPool:
 
         Two effects: a keyed collector mirrors the pool's own plain-int
         counters (``cast_pool_tasks_total{stage=...}``,
-        ``cast_pool_solves_total``), and future solves merge worker-side
-        metric deltas and spans into ``registry`` instead of the global
-        one (thread workers record into it directly).
+        ``cast_pool_solves_total``), and future solves record worker
+        metrics into ``registry`` instead of the ambient one.
         """
-        self._metrics = registry
+        self.registry = registry
 
         def _mirror(reg: obs_metrics.MetricsRegistry) -> None:
             tasks = reg.counter(
@@ -234,65 +162,8 @@ class SolverPool:
 
         registry.register_collector(key, _mirror)
 
-    # -- executor lifecycle --------------------------------------------------
-
-    @property
-    def executor(self) -> Executor:
-        """The lazily-created backing executor."""
-        if self._executor is None:
-            if self.processes == 0:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(1, min(self.restarts, os.cpu_count() or 1)),
-                    thread_name_prefix="cast-solver",
-                )
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self.processes)
-        return self._executor
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Drain and release the executor (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
-            self._executor = None
-
-    # -- solving -------------------------------------------------------------
-
-    def _tasks(
-        self, request: Mapping[str, Any], restarts: Optional[int]
-    ) -> Tuple[List[Dict[str, Any]], List[int]]:
-        n = self.restarts if restarts is None else int(restarts)
-        seeds = restart_seeds(int(request.get("seed", 42)), n)
-        tasks = [dict(request, seed=s) for s in seeds]
-        ctx = obs_tracing.current_context()
-        thread_metrics = self._metrics if self.processes == 0 else None
-        for task in tasks:
-            task["_trace"] = ctx
-            if thread_metrics is not None:
-                task["_metrics"] = thread_metrics
-        return tasks, seeds
-
-    def _absorb(self, results: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Merge worker-shipped ``result["obs"]`` payloads, stripping them.
-
-        Process workers attach a metrics snapshot-delta and their
-        finished spans (see :func:`solve_restart`); both are folded into
-        the bound registry (or the global one) here, in the parent.
-        Thread workers recorded directly, so they ship nothing.
-        """
-        absorbed: List[Dict[str, Any]] = []
-        for result in results:
-            obs = result.get("obs")
-            if obs is not None:
-                result = dict(result)
-                obs = result.pop("obs")
-                metrics = obs.get("metrics")
-                if metrics:
-                    (self._metrics or obs_metrics.get_registry()).merge(metrics)
-                spans = obs.get("spans")
-                if spans:
-                    obs_tracing.ingest(spans)
-            absorbed.append(result)
-        return absorbed
+    #: The server's name for :meth:`~repro.workers.WorkerPool.close`.
+    shutdown = WorkerPool.close
 
     def solve_sync(
         self, request: Mapping[str, Any], restarts: Optional[int] = None
@@ -304,18 +175,17 @@ class SolverPool:
         self, request: Mapping[str, Any], restarts: Optional[int] = None
     ) -> Dict[str, Any]:
         """Async multi-start solve: restarts fan out across workers."""
-        loop = asyncio.get_running_loop()
         with obs_tracing.span(
             "pool.solve", attrs={"op": request.get("op")}
         ) as sp:
-            tasks, seeds = self._tasks(request, restarts)
-            sp.attrs["restarts"] = len(tasks)
-            self.tasks_started += len(tasks)
-            results = await asyncio.gather(
-                *(loop.run_in_executor(self.executor, solve_restart, t) for t in tasks)
+            n = self.restarts if restarts is None else int(restarts)
+            if n < 1:
+                raise ServiceError(f"restarts must be >= 1, got {n}")
+            sp.attrs["restarts"] = n
+            seeds = restart_seeds(int(request.get("seed", 42)), n)
+            results = await self.map_async(
+                solve_restart, [dict(request, seed=s) for s in seeds]
             )
-            results = self._absorb(list(results))
-            self.tasks_completed += len(results)
             self.solves_completed += 1
             return _select_best(results, seeds)
 

@@ -24,7 +24,9 @@ Observability: every server owns a :class:`~repro.obs.metrics.MetricsRegistry`
 into which all its moving parts report — service request/event counters,
 a solve-latency histogram, the plan cache, the solver pool (including
 deltas shipped home by process workers), the simulation cache and the
-evaluator totals.  The ``metrics`` op exposes it (Prometheus text or
+evaluator totals.  It is bound as the ambient registry for every op,
+so sweeps, what-ifs and session re-plans on worker threads record into
+it too.  The ``metrics`` op exposes it (Prometheus text or
 JSON); the legacy ``stats`` payload is now *derived* from the registry,
 byte-compatible with the old hand-rolled dicts.  Each request runs
 inside a ``service.request`` span and every response carries its
@@ -79,7 +81,10 @@ def _run_sweep(request: Mapping[str, Any]) -> Dict[str, Any]:
     The engine does its own fan-out: with ``workers`` set, waves go
     through a process-pool :class:`~repro.experiments.runner.ExperimentRunner`
     owned by the engine, so the solves never touch the server's solver
-    pool — a sweep is one admission-controlled unit of work.
+    pool — a sweep is one admission-controlled unit of work.  The
+    worker thread runs under the server's registry and the request's
+    trace, so the engine's and its workers' counters and spans land
+    there.
     """
     from ..errors import WorkloadError
     from ..sweep import SweepConfig, SweepEngine

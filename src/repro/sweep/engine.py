@@ -28,9 +28,11 @@ whose optimum is a near-neighbor of one the sweep already solved.
   seed — so a bad transfer can cost at most one extra plan
   evaluation, never quality.
 * **Fan-out with fingerprint dedup.**  Waves of the donor DAG fan out
-  over the process-pool :class:`~repro.experiments.runner.ExperimentRunner`;
-  literal duplicate points (same canonical fingerprint) are solved
-  once and copied.
+  over the process-pool :class:`~repro.experiments.runner.ExperimentRunner`
+  (the program's one :class:`~repro.workers.WorkerPool`, so worker
+  spans and counters come home as if the sweep ran serially); literal
+  duplicate points (same canonical fingerprint) are solved once and
+  copied.
 
 Exactness contract: every reported utility — cold, warm, fallback or
 dedup — is the canonical :func:`~repro.core.utility.evaluate_plan`
@@ -390,13 +392,13 @@ class SweepEngine:
                 contexts[key] = ctx
             return ctx
 
-        parallel = self.workers is not None and self.workers > 1
         runner = None
-        if parallel:
+        if self.workers is not None and self.workers > 1:
+            # Deferred: repro.experiments imports this package (and a
+            # serial sweep needs none of it).
             from ..experiments.runner import ExperimentRunner
 
             runner = ExperimentRunner(self.workers)
-            runner.__enter__()
         try:
             for wave in sorted(waves):
                 pending: List[SweepPoint] = []
@@ -407,7 +409,7 @@ class SweepEngine:
                     else:
                         solved_fp[p.fingerprint] = p.index
                         pending.append(p)
-                if pending and parallel:
+                if pending and runner is not None:
                     self._solve_wave_pooled(runner, pending, results)
                 else:
                     for p in pending:
@@ -424,7 +426,7 @@ class SweepEngine:
                     )
         finally:
             if runner is not None:
-                runner.__exit__(None, None, None)
+                runner.close()
         return results
 
     def _solve_wave_pooled(
@@ -433,7 +435,10 @@ class SweepEngine:
         pending: List[SweepPoint],
         results: Dict[int, SweepPointResult],
     ) -> None:
-        """Fan one wave's cell-chunks over the process pool."""
+        """Fan one wave's cell-chunks over the process pool.
+
+        Worker spans and metric deltas come home through the runner's
+        worker pool, into this thread's trace and ambient registry."""
         chunks: Dict[Tuple[int, int, int], List[SweepPoint]] = {}
         for p in pending:
             chunks.setdefault(

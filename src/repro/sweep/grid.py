@@ -9,7 +9,7 @@ carrying everything the engine needs to amortize work across points:
   paired catalog comparisons at one cell are CRN-matched: the annealer
   walks the same move sequence modulo acceptance, and utility deltas
   between catalogs are catalog effects, not seed noise.  Seeds follow
-  the fleet's :func:`~repro.experiments.runner.spawn_seeds` discipline
+  the program's one seed rule, :func:`~repro.workers.spawn_seeds`
   (cell 0 reuses the request seed unchanged).
 * **Warm-start donor DAG.**  Every point names the already-solved
   neighbor whose incumbent plan seeds its search: knob point ``k``
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Sequence
 
 from ..errors import SolverError
-from ..experiments.runner import spawn_seeds
 from ..service.fingerprint import request_fingerprint
+from ..workers import spawn_seeds
 from ..workloads.io import workload_to_dict
 from ..workloads.spec import WorkloadSpec
 

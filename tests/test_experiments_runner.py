@@ -9,10 +9,11 @@ from repro.experiments.runner import (
     ExperimentRunner,
     sim_report,
     simulate_job_task,
-    spawn_seeds,
 )
+from repro.service.pool import restart_seeds
 from repro.simulator.cache import simulation_cache
 from repro.simulator.engine import simulate_job
+from repro.workers import spawn_seeds
 from repro.workloads.apps import GREP, SORT
 from repro.workloads.spec import JobSpec
 
@@ -31,21 +32,31 @@ def _jobs():
 
 
 class TestSpawnSeeds:
+    """The one seed rule behind solver restarts, sweeps and studies."""
+
     def test_slot_zero_is_the_request_seed(self):
         assert spawn_seeds(42, 4)[0] == 42
 
     def test_deterministic_and_distinct(self):
-        a = spawn_seeds(7, 6)
-        assert a == spawn_seeds(7, 6)
-        assert len(set(a)) == 6
-        assert spawn_seeds(8, 6) != a
+        for seed, n in ((42, 4), (7, 6)):
+            a = spawn_seeds(seed, n)
+            assert a == spawn_seeds(seed, n)
+            assert len(set(a)) == n
+        assert spawn_seeds(8, 6) != spawn_seeds(7, 6)
+
+    def test_different_request_seeds_diverge(self):
+        assert spawn_seeds(1, 4)[1:] != spawn_seeds(2, 4)[1:]
 
     def test_single_seed(self):
         assert spawn_seeds(3, 1) == [3]
+        assert spawn_seeds(9, 1) == [9]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             spawn_seeds(3, 0)
+
+    def test_restart_seeds_is_the_one_rule(self):
+        assert restart_seeds is spawn_seeds
 
 
 class TestSerialRunner:
@@ -91,6 +102,23 @@ class TestParallelRunner:
             assert r.tasks_deduped == 2
         assert [b.job_id for b in batch] == [j.job_id for j in jobs]
         assert batch == serial
+
+    def test_worker_simulation_spans_reach_the_parent(self, monkeypatch):
+        from repro.obs.tracing import span, trace_collector
+
+        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+        prov = google_cloud_2015()
+        cluster = ClusterSpec(n_vms=4)
+        simulation_cache().clear()
+        trace_collector().clear()
+        with ExperimentRunner(2) as r, span("test.simulate") as sp:
+            r.simulate_jobs(
+                [(j, Tier.PERS_SSD, None) for j in _jobs()], cluster, prov
+            )
+        # Two distinct shapes, one per worker chunk: two fresh runs.
+        names = [s.name for s in trace_collector().records(trace_id=sp.trace_id)]
+        assert names.count("simulator.job") == 2
 
     def test_parallel_map_orders_results(self):
         with ExperimentRunner(2) as r:

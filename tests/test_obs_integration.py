@@ -78,6 +78,22 @@ class TestServiceMetricsOp:
         assert "cast_sim_cache_events_total" in body      # simulation cache
         assert "# TYPE cast_service_solve_seconds histogram" in body
 
+    def test_sweep_counters_reach_the_server_scrape(self):
+        # A sweep runs on a worker thread; its engine and solver
+        # counters must land in this server's registry, not the
+        # process-global one.
+        async def scenario(server, client):
+            await client.sweep(
+                small_spec(), providers=("google", "aws"), n_vms=5,
+                iterations=60, seed=1,
+            )
+            return await client.metrics()
+
+        body = run(one_server_session(scenario))["body"]
+        assert "cast_sweep_runs_total 1" in body
+        assert 'cast_sweep_points_total{mode="cold"} 1' in body
+        assert 'cast_solver_solves_total{backend="anneal"} 2' in body
+
     def test_json_payload_has_latency_quantiles(self):
         async def scenario(server, client):
             await client.plan(small_spec(), n_vms=5, iterations=60, seed=1)

@@ -220,6 +220,35 @@ class TestEngine:
             assert rs.utility == rp.utility  # bit-exact
             assert rs.plan.placements == rp.plan.placements
 
+    def test_pooled_sweep_ships_spans_and_counters_home(self):
+        from repro.obs.metrics import MetricsRegistry, use_registry
+        from repro.obs.tracing import span, trace_collector
+
+        def observed(workers):
+            reg = MetricsRegistry()
+            trace_collector().clear()
+            with use_registry(reg), span("test.sweep") as sp:
+                SweepEngine(
+                    PROVIDERS, [small(n_jobs=8)], knobs=[{"rep": 0}, {"rep": 1}],
+                    config=tiny_config(iterations=60), workers=workers,
+                ).run()
+            spans = trace_collector().records(trace_id=sp.trace_id)
+            counters = {
+                name: entry["values"]
+                for name, entry in reg.snapshot().items()
+                if entry["kind"] == "counter"
+                and name.startswith(("cast_solver_", "cast_sweep_"))
+            }
+            return [s.name for s in spans].count("solver.solve"), counters
+
+        serial_solves, serial = observed(None)
+        pooled_solves, pooled = observed(2)
+        # 3 catalogs x 2 reps: every point is solved, and each solve's
+        # span joins the caller's trace from whichever worker ran it.
+        assert serial_solves == pooled_solves == 6
+        assert "cast_solver_solves_total" in serial
+        assert pooled == serial
+
     def test_metrics_recorded(self):
         from repro.obs.metrics import get_registry
 
