@@ -7,8 +7,9 @@ striping across multiple volumes; either way, the planner sees a
 monotone *capacity → performance* curve with a provider-imposed ceiling.
 
 The paper fits a third-degree-polynomial **cubic Hermite spline** through
-measured points (§4.2.1, Fig. 2) and we do exactly that here with
-SciPy's shape-preserving PCHIP interpolant.  Outside the measured range
+measured points (§4.2.1, Fig. 2) and we do exactly that here with the
+shape-preserving PCHIP interpolant of :mod:`repro.pchip` (bit-identical
+to SciPy's ``PchipInterpolator``).  Outside the measured range
 the curve is extended linearly at the boundary slope and clamped to the
 documented performance cap, which keeps the curve monotone
 non-decreasing — an invariant the solver relies on (more capacity can
@@ -18,10 +19,11 @@ never *hurt* estimated performance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+from ..pchip import Pchip
 
 __all__ = ["ScalingCurve", "flat_curve"]
 
@@ -43,26 +45,35 @@ class ScalingCurve:
 
     points: Tuple[Tuple[float, float], ...]
     cap: float
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _caps: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _vals: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slope: float = field(init=False, repr=False, compare=False)
+    _interp: Optional[Pchip] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        caps = np.asarray([p[0] for p in self.points], dtype=float)
-        vals = np.asarray([p[1] for p in self.points], dtype=float)
-        if caps.size == 0:
+        caps = tuple(float(p[0]) for p in self.points)
+        vals = tuple(float(p[1]) for p in self.points)
+        if not caps:
             raise ValueError("ScalingCurve needs at least one anchor point")
-        if caps.size > 1:
-            if np.any(np.diff(caps) <= 0):
-                raise ValueError("capacities must be strictly increasing")
-            if np.any(np.diff(vals) < 0):
-                raise ValueError("values must be non-decreasing")
+        if any(b <= a for a, b in zip(caps, caps[1:])):
+            raise ValueError("capacities must be strictly increasing")
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValueError("values must be non-decreasing")
         if self.cap < vals[-1]:
             raise ValueError(
                 f"cap {self.cap} below last anchor value {vals[-1]}"
             )
-        if caps.size >= 2:
-            interp = PchipInterpolator(caps, vals, extrapolate=False)
+        # Anchors, terminal secant slope and spline built once: the
+        # curve is evaluated on every volume the planner sizes.
+        if len(caps) >= 2:
+            slope = (vals[-1] - vals[-2]) / (caps[-1] - caps[-2])
+            interp: Optional[Pchip] = Pchip(caps, vals)
         else:
+            slope = 0.0
             interp = None
+        object.__setattr__(self, "_caps", caps)
+        object.__setattr__(self, "_vals", vals)
+        object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_interp", interp)
 
     # -- evaluation -----------------------------------------------------
@@ -75,23 +86,18 @@ class ScalingCurve:
         GCE provisions); above the last anchor it continues at the
         terminal secant slope until hitting :attr:`cap`.
         """
-        caps = np.asarray([p[0] for p in self.points], dtype=float)
-        vals = np.asarray([p[1] for p in self.points], dtype=float)
+        caps, vals = self._caps, self._vals
         c = float(capacity_gb)
         if c <= 0:
             raise ValueError(f"non-positive capacity: {capacity_gb} GB")
         if c < caps[0]:
             value = vals[0] * c / caps[0]
         elif c > caps[-1]:
-            if caps.size >= 2:
-                slope = (vals[-1] - vals[-2]) / (caps[-1] - caps[-2])
-            else:
-                slope = 0.0
-            value = vals[-1] + slope * (c - caps[-1])
+            value = vals[-1] + self._slope * (c - caps[-1])
         elif self._interp is None:
             value = vals[0]
         else:
-            value = float(self._interp(c))
+            value = self._interp(c)
         return min(value, self.cap)
 
     def evaluate(self, capacities_gb: Sequence[float]) -> np.ndarray:
@@ -107,8 +113,7 @@ class ScalingCurve:
         Returns ``inf`` when the cap is unreachable (zero terminal
         slope below the cap).
         """
-        caps = [p[0] for p in self.points]
-        vals = [p[1] for p in self.points]
+        caps, vals = self._caps, self._vals
         if vals[-1] >= self.cap:
             # Walk back to the first anchor at/above the cap.
             lo = caps[0]
@@ -116,10 +121,8 @@ class ScalingCurve:
                 if v >= self.cap:
                     return c
             return lo
-        if len(caps) >= 2:
-            slope = (vals[-1] - vals[-2]) / (caps[-1] - caps[-2])
-            if slope > 0:
-                return caps[-1] + (self.cap - vals[-1]) / slope
+        if self._slope > 0:
+            return caps[-1] + (self.cap - vals[-1]) / self._slope
         return float("inf")
 
 

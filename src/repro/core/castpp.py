@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..cloud.provider import CloudProvider
@@ -294,6 +293,8 @@ class CastPlusPlus(CastSolver):
         self, workflow: Workflow
     ) -> Callable[[TieringPlan, np.random.Generator], TieringPlan]:
         """DFS-order traversal of the DAG (§4.3's neighbor search)."""
+        import networkx as nx
+
         g = workflow.graph()
         dfs_order: List[str] = []
         for root in workflow.roots():

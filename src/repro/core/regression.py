@@ -9,17 +9,20 @@ both to interpolate profiled runtimes across provisioned capacity
 :class:`CapacitySpline` is that model: a shape-preserving PCHIP cubic
 Hermite spline through observed ``(capacity, value)`` points, with
 constant extension outside the observed range (extrapolating a cubic
-would let the solver invent performance no measurement supports).  A
-linear variant is provided for the regression-model ablation bench.
+would let the solver invent performance no measurement supports).  The
+spline is the in-tree :class:`~repro.pchip.Pchip` kernel, bit-identical
+to SciPy's ``PchipInterpolator``.  A linear variant is provided for the
+regression-model ablation bench.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+from ..pchip import Pchip
 
 __all__ = ["CapacitySpline", "LinearCapacityModel", "fit_runtime_model"]
 
@@ -34,7 +37,7 @@ class CapacitySpline:
     """
 
     points: Tuple[Tuple[float, float], ...]
-    _interp: object = field(init=False, repr=False, compare=False)
+    _interp: Optional[Pchip] = field(init=False, repr=False, compare=False)
     _x_lo: float = field(init=False, repr=False, compare=False)
     _x_hi: float = field(init=False, repr=False, compare=False)
     _y_lo: float = field(init=False, repr=False, compare=False)
@@ -47,7 +50,7 @@ class CapacitySpline:
         ys = np.asarray([p[1] for p in self.points], dtype=float)
         if xs.size > 1 and np.any(np.diff(xs) <= 0):
             raise ValueError("capacities must be strictly increasing")
-        interp = PchipInterpolator(xs, ys, extrapolate=False) if xs.size > 1 else None
+        interp = Pchip(xs, ys) if xs.size > 1 else None
         # Anchor endpoints cached once: __call__ sits in the solver's
         # innermost loop and must not rebuild per-point lists per call.
         object.__setattr__(self, "_interp", interp)
@@ -62,13 +65,13 @@ class CapacitySpline:
             return self._y_lo
         if capacity >= self._x_hi:
             return self._y_hi
-        return float(self._interp(capacity))  # type: ignore[operator]
+        return self._interp(capacity)  # type: ignore[misc]
 
     def evaluate(self, capacities: Sequence[float]) -> np.ndarray:
         """Vectorized evaluation, constant-extended outside the anchors.
 
-        Interior points go through the PchipInterpolator in a single
-        vectorized call; boundary points take the cached anchor values
+        Interior points go through the spline in a single vectorized
+        call; boundary points take the cached anchor values
         exactly (bit-identical to the scalar path, which never evaluates
         the polynomial at the breakpoints).
         """
@@ -80,7 +83,7 @@ class CapacitySpline:
         out[hi] = self._y_hi
         mid = ~(lo | hi)
         if np.any(mid):
-            out[mid] = self._interp(caps[mid])  # type: ignore[operator]
+            out[mid] = self._interp.evaluate(caps[mid])  # type: ignore[union-attr]
         return out
 
 

@@ -48,27 +48,20 @@ def evaluation_cluster() -> ClusterSpec:
     return ClusterSpec(n_vms=25)
 
 
-_MATRIX_MEMO: Dict[tuple, ModelMatrix] = {}
-
-
 def model_matrix(
     prov: Optional[CloudProvider] = None,
     cluster: Optional[ClusterSpec] = None,
 ) -> ModelMatrix:
-    """The profiled model matrix for a deployment (memoized).
+    """The profiled model matrix for a deployment.
 
-    Keyed by (provider name, VM count): experiment modules calling in
-    with equivalent deployments share one profiled matrix instead of
-    re-entering the profiler per call.
+    :func:`~repro.profiler.profiler.build_model_matrix` memoizes it per
+    (provider name, VM count), so experiment modules calling in with
+    equivalent deployments share one profiled matrix.
     """
-    prov = prov or provider()
-    cluster = cluster or characterization_cluster()
-    key = (prov.name, cluster.n_vms)
-    matrix = _MATRIX_MEMO.get(key)
-    if matrix is None:
-        matrix = build_model_matrix(provider=prov, cluster_spec=cluster)
-        _MATRIX_MEMO[key] = matrix
-    return matrix
+    return build_model_matrix(
+        provider=prov or provider(),
+        cluster_spec=cluster or characterization_cluster(),
+    )
 
 
 def fig1_capacity(tier: Tier) -> Dict[Tier, float]:

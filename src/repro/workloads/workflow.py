@@ -17,14 +17,16 @@ Two concrete workloads from the paper live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import WorkloadError
 from .apps import GREP, JOIN, KMEANS, PAGERANK, SORT, AppProfile
 from .spec import JobSpec, WorkloadSpec
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = [
     "Workflow",
@@ -66,6 +68,9 @@ class Workflow:
                 raise WorkloadError(f"{self.name}: edge ({u},{v}) references unknown job")
             if u == v:
                 raise WorkloadError(f"{self.name}: self-loop on {u}")
+        # networkx loads with the first workflow, not with the package.
+        import networkx as nx
+
         g = self.graph()
         if not nx.is_directed_acyclic_graph(g):
             cycle = nx.find_cycle(g)
@@ -73,8 +78,10 @@ class Workflow:
 
     # -- graph views ---------------------------------------------------------
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
         """The DAG as a networkx DiGraph (node = job_id)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(j.job_id for j in self.jobs)
         g.add_edges_from(self.edges)
@@ -82,6 +89,8 @@ class Workflow:
 
     def topological_order(self) -> List[str]:
         """Job ids in a valid execution order (deterministic)."""
+        import networkx as nx
+
         return list(nx.lexicographical_topological_sort(self.graph()))
 
     def job(self, job_id: str) -> JobSpec:
@@ -112,6 +121,8 @@ class Workflow:
         is the sum over *levels*, but with enough cluster capacity the
         critical path is the binding constraint.
         """
+        import networkx as nx
+
         g = self.graph()
         dist: Dict[str, float] = {}
         prev: Dict[str, Optional[str]] = {}

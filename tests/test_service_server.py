@@ -448,6 +448,35 @@ class TestSweepOp:
 
         run(scenario())
 
+    def test_pooled_sweep_workers_inherit_profiled_catalogs(self):
+        """A ``workers=2`` sweep profiles its catalogs in the server
+        before forking, so a later pooled sweep's fresh workers re-run
+        no calibration simulation."""
+        from repro.obs.tracing import trace_collector
+
+        async def scenario():
+            server = PlannerServer(pool=SolverPool(processes=0, restarts=1))
+            task = await serving(server)
+            try:
+                async with PlannerClient(*server.address) as client:
+                    traces = []
+                    for seed in (1, 2):
+                        r = await client.sweep(
+                            small_spec(), providers=["google", "aws", "azure"],
+                            reps=1, n_vms=7, iterations=40, seed=seed,
+                            workers=2,
+                        )
+                        assert r["cached"] is False and r["parity_ok"] is True
+                        traces.append(r["trace_id"])
+                    return traces
+            finally:
+                await shutdown(server, task)
+
+        _, second = run(scenario())
+        names = [s.name for s in trace_collector().records(trace_id=second)]
+        assert names.count("solver.solve") == 3
+        assert "simulator.job" not in names
+
 
 class TestBackpressureAndTimeouts:
     def test_requests_beyond_queue_are_shed(self):
