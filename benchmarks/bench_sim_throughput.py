@@ -5,8 +5,10 @@ Times the Fig. 7 ground-truth measurement path — ``measure_plan`` over
 the 100-job Facebook workload for a set of deployment plans — through
 four configurations:
 
-1. **reference serial** — ``REPRO_SIM_REFERENCE=1``, cache off: the
-   original O(k)-per-event channels, every job simulated from scratch;
+1. **reference serial** — the seed simulator of ``tests/reference/``
+   (O(k)-per-event channels, full-rescan dispatcher) under its
+   ``reference_simulator`` harness, cache off: every job simulated from
+   scratch;
 2. **virtual serial** — virtual-time channels, cache off;
 3. **virtual + cache** — content-addressed memoization dedupes the
    workload's shape-duplicate jobs (cold), then a fully warm pass;
@@ -36,6 +38,7 @@ from typing import Dict, List, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, "..", "tests"))  # the reference oracles
 sys.path.insert(0, _HERE)
 
 import numpy as np
@@ -50,19 +53,19 @@ from repro.experiments.measure import measure_plan
 from repro.experiments.runner import ExperimentRunner, sim_report
 from repro.profiler.profiler import build_model_matrix
 from repro.simulator.cache import CACHE_ENV, simulation_cache
-from repro.simulator.storage_backend import REFERENCE_ENV
 from repro.workloads.swim import synthesize_facebook_workload
 
+from reference.simulator import reference_simulator
+
 WORKLOAD_SEED = 7
-#: Phase-timing agreement required between the channel implementations.
+#: Phase-timing agreement required between the seed and product simulators.
 PARITY_RTOL = 1e-9
 
 PHASES = ("download_s", "map_s", "reduce_s", "upload_s")
 
 
-def _set_env(reference: bool, cache: bool) -> None:
-    os.environ[REFERENCE_ENV] = "1" if reference else "0"
-    os.environ[CACHE_ENV] = "1" if cache else "0"
+def _set_cache(on: bool) -> None:
+    os.environ[CACHE_ENV] = "1" if on else "0"
 
 
 def _measure_all(workload, plans, cluster, prov, runner=None) -> Tuple[List, float]:
@@ -132,19 +135,19 @@ def main(argv: List[str] | None = None) -> int:
 
     failures: List[str] = []
 
-    # 1. reference channels, serial, no cache — the baseline.
-    _set_env(reference=True, cache=False)
-    ref, ref_s = _measure_all(workload, plan_list, cluster, prov)
+    # 1. the seed simulator, serial, no cache — the baseline.
+    with reference_simulator():
+        ref, ref_s = _measure_all(workload, plan_list, cluster, prov)
 
-    # 2. virtual-time channels, serial, no cache — channel parity gate.
-    _set_env(reference=False, cache=False)
+    # 2. virtual-time channels, serial, no cache — simulator parity gate.
+    _set_cache(False)
     virt, virt_s = _measure_all(workload, plan_list, cluster, prov)
     rel = _phase_rel_diff(ref, virt)
     if rel > PARITY_RTOL:
         failures.append(f"virtual-channel phase timings diverge: rel={rel:.3e}")
 
     # 3. + simulation cache (cold, then fully warm) — must be bit-exact.
-    _set_env(reference=False, cache=True)
+    _set_cache(True)
     simulation_cache().clear()
     cached, cached_cold_s = _measure_all(workload, plan_list, cluster, prov)
     _, cached_warm_s = _measure_all(workload, plan_list, cluster, prov)

@@ -15,9 +15,11 @@ Times ``simulate_batch`` over the same 100-job seed-7 Facebook workload
 3. **analytic batch + cache** — cold, then fully warm.  The warm pass
    must be bit-exact against the cold one (cache hits restamp stored
    results, fast path or not);
-4. **reference fallback** — under ``REPRO_SIM_REFERENCE=1`` the batch
-   API must fall back to the event engine wholesale and be *bit-exact*
-   against a serial reference run;
+4. **exact batch on the seed simulator** — under the
+   ``reference_simulator`` harness of ``tests/reference/`` (seed
+   channels and dispatcher, cache off), ``simulate_batch(...,
+   fast_path=False)`` must be *bit-exact* against serial
+   ``simulate_job`` runs;
 5. **fresh workloads, warm cache** — the planning service's ``whatif``
    traffic: ``measure_plan`` on the fast path over fresh 100-job SWIM
    workloads (16; 8 with ``--quick``) under uniform plans, with the
@@ -47,6 +49,7 @@ from typing import List, Optional, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, "..", "tests"))  # the reference oracles
 sys.path.insert(0, _HERE)
 
 import numpy as np
@@ -60,7 +63,6 @@ from repro.experiments.measure import measure_plan
 from repro.experiments.runner import ExperimentRunner
 from repro.simulator import simulate_batch, simulate_job
 from repro.simulator.cache import CACHE_ENV, simulation_cache
-from repro.simulator.storage_backend import REFERENCE_ENV
 from repro.simulator.vectorized import (
     ANALYTIC_RTOL,
     batch_results_match,
@@ -68,6 +70,8 @@ from repro.simulator.vectorized import (
     reset_fastpath_stats,
 )
 from repro.workloads.swim import synthesize_facebook_workload
+
+from reference.simulator import reference_simulator
 
 WORKLOAD_SEED = 7
 #: The acceptance bar: cold batch throughput vs the serial engine.
@@ -81,9 +85,8 @@ FRESH_WORKLOADS = 16
 FRESH_WORKLOADS_QUICK = 8
 
 
-def _set_env(reference: bool, cache: bool) -> None:
-    os.environ[REFERENCE_ENV] = "1" if reference else "0"
-    os.environ[CACHE_ENV] = "1" if cache else "0"
+def _set_cache(on: bool) -> None:
+    os.environ[CACHE_ENV] = "1" if on else "0"
 
 
 def _serial_pass(items, cluster, prov) -> Tuple[List, float]:
@@ -147,10 +150,10 @@ def _fresh_workloads_step(n_fresh, cluster, prov, failures) -> dict:
         cases.append((workload, TieringPlan.uniform(workload, tiers[i % len(tiers)])))
     warm_cases, fresh_cases = cases[:WARM_WORKLOADS], cases[WARM_WORKLOADS:]
 
-    _set_env(reference=False, cache=False)
+    _set_cache(False)
     uncached, uncached_s = _measure_pass(fresh_cases, cluster, prov)
 
-    _set_env(reference=False, cache=True)
+    _set_cache(True)
     cache = simulation_cache()
     cache.clear()
     _measure_pass(warm_cases, cluster, prov)
@@ -196,7 +199,7 @@ def main(argv: List[str] | None = None) -> int:
     failures: List[str] = []
 
     # 1. exact engine, serial, cache off — the baseline.
-    _set_env(reference=False, cache=False)
+    _set_cache(False)
     serial, serial_s = _serial_pass(items, cluster, prov)
 
     # 2. vectorized batch, cache off — the parity gate.
@@ -214,7 +217,7 @@ def main(argv: List[str] | None = None) -> int:
         failures.append("fast path never engaged (all requests fell back)")
 
     # 3. + simulation cache: cold, then warm — warm must be bit-exact.
-    _set_env(reference=False, cache=True)
+    _set_cache(True)
     simulation_cache().clear()
     cold, cold_s = _batch_pass(items, cluster, prov)
     warm, warm_s = _batch_pass(items, cluster, prov)
@@ -222,15 +225,16 @@ def main(argv: List[str] | None = None) -> int:
     if mismatch is not None:
         failures.append(f"warm cache pass is not bit-exact vs cold: {mismatch}")
 
-    # 4. REPRO_SIM_REFERENCE=1 — batch must fall back, bit-exactly.
-    _set_env(reference=True, cache=False)
-    ref_serial, ref_serial_s = _serial_pass(items, cluster, prov)
-    ref_batch, _ = _batch_pass(items, cluster, prov)
+    # 4. the seed simulator: the exact batch must match serial runs
+    #    bit for bit.
+    with reference_simulator():
+        ref_serial, ref_serial_s = _serial_pass(items, cluster, prov)
+        ref_batch, _ = _batch_pass(items, cluster, prov, fast=False)
     mismatch = _bit_exact(ref_batch, ref_serial)
     if mismatch is not None:
         failures.append(
-            f"reference-mode batch is not bit-exact vs the serial "
-            f"reference engine: {mismatch}"
+            f"exact batch on the seed simulator is not bit-exact vs "
+            f"serial seed-simulator runs: {mismatch}"
         )
 
     # 5. fresh workloads against a warm cache — the whatif traffic.
@@ -238,7 +242,7 @@ def main(argv: List[str] | None = None) -> int:
         FRESH_WORKLOADS_QUICK if args.quick else FRESH_WORKLOADS,
         cluster, prov, failures,
     )
-    _set_env(reference=False, cache=True)
+    _set_cache(True)
 
     baseline_per_s = n_sims / serial_s
     batch_per_s = n_sims / batch_s

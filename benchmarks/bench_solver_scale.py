@@ -7,7 +7,8 @@ pushes the solver to 1,000 jobs and adds the tensorized
 parallel-tempering backend (:mod:`repro.core.tempering`) to the
 comparison.  At each size the incremental single chain and the
 tempering ensemble get the *same* iteration budget; the naive
-full-``evaluate_plan`` path gets a reduced budget at the larger sizes
+full-``evaluate_plan`` solve (the reference solve of
+``tests/reference/``) gets a reduced budget at the larger sizes
 (it would otherwise dominate the run) and its throughput is reported
 as measured, never extrapolated into a speedup claim.
 
@@ -49,6 +50,7 @@ from typing import Any, Dict, List
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, "..", "tests"))  # the reference oracles
 sys.path.insert(0, _HERE)
 
 import numpy as np
@@ -66,6 +68,8 @@ from repro.workloads.swim import (
     synthesize_facebook_workload,
     synthesize_small_workload,
 )
+
+from reference.solver import reference_solve
 
 #: (n_jobs, total_dataset_gb, naive_iter_max).  Incremental and
 #: tempering always run the full ITER_MAX budget; the naive path runs
@@ -127,14 +131,14 @@ def bench_one(n_jobs: int, dataset_gb: float, naive_iters: int,
     )
     matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
 
-    def make(backend: str, iters: int, incremental: bool = True) -> CastSolver:
+    def make(backend: str, iters: int) -> CastSolver:
         return CastSolver(
             cluster_spec=cluster, matrix=matrix, provider=provider,
             schedule=AnnealingSchedule(iter_max=iters), seed=SOLVER_SEED,
-            incremental=incremental, backend=backend, replicas=REPLICAS,
+            backend=backend, replicas=REPLICAS,
         )
 
-    naive = make("anneal", naive_iters, incremental=False)
+    naive = make("anneal", naive_iters)
     incremental = make("anneal", iter_max)
     tempering = make("tempering", iter_max)
     initial = naive.initial_plan(workload)
@@ -142,7 +146,7 @@ def bench_one(n_jobs: int, dataset_gb: float, naive_iters: int,
     parity = check_batch_parity(workload, cluster, matrix, provider)
 
     t0 = time.perf_counter()
-    r_naive = naive.solve(workload, initial=initial)
+    r_naive = reference_solve(naive, workload, initial=initial)
     t1 = time.perf_counter()
     r_inc = incremental.solve(workload, initial=initial)
     t2 = time.perf_counter()

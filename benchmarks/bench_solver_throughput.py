@@ -3,8 +3,9 @@
 
 Runs the CAST and CAST++ annealers twice on identical seeded inputs —
 once through full :func:`~repro.core.utility.evaluate_plan` calls per
-iteration (the reference path), once through the delta-aware
-:class:`~repro.core.evaluator.PlanEvaluator` — and reports
+iteration (the reference solve of ``tests/reference/``), once through
+the delta-aware :class:`~repro.core.evaluator.PlanEvaluator` — and
+reports
 iterations/second, the speedup, and the evaluator's cache counters
 (evaluations avoided, hit rate).
 
@@ -62,6 +63,7 @@ from typing import Any, Dict, List, Optional
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, "..", "tests"))  # the reference oracles
 sys.path.insert(0, _HERE)
 
 import numpy as np
@@ -73,13 +75,14 @@ from repro.cloud.vm import ClusterSpec
 from repro.core.annealing import AnnealingSchedule
 from repro.core import greedy
 from repro.core.castpp import CastPlusPlus
-from repro.core.plan import Placement
 from repro.core.solver import CastSolver
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import LATENCY_METRIC, REQUESTS_METRIC, SLOEngine
 from repro.profiler.profiler import build_model_matrix
 from repro.workloads.swim import synthesize_small_workload
+
+from reference.solver import reference_greedy, reference_solve
 
 #: (n_jobs, iter_max) per workload size; --quick keeps only the first.
 #: The last is the streaming session's full re-solve (400 resident
@@ -160,20 +163,6 @@ class OperationalLayer:
         }
 
 
-def reference_greedy(workload, cluster, matrix, provider) -> Dict[str, Placement]:
-    """Exact-fit Algorithm 1 scored job by job on every tier."""
-    placements = {}
-    for job in workload.jobs:
-        best, best_u = None, float("-inf")
-        for tier in provider.tiers:
-            placement = Placement(tier=tier, capacity_gb=job.footprint_gb)
-            u = greedy._single_job_utility(job, placement, cluster, matrix, provider)
-            if u > best_u:
-                best, best_u = placement, u
-        placements[job.job_id] = best
-    return placements
-
-
 def bench_one(
     solver_cls, provider, n_jobs: int, iter_max: int,
     obs: Optional[OperationalLayer] = None,
@@ -186,19 +175,15 @@ def bench_one(
     matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
     schedule = AnnealingSchedule(iter_max=iter_max)
 
-    naive = solver_cls(
+    solver = solver_cls(
         cluster_spec=cluster, matrix=matrix, provider=provider,
-        schedule=schedule, seed=SOLVER_SEED, incremental=False,
-    )
-    fast = solver_cls(
-        cluster_spec=cluster, matrix=matrix, provider=provider,
-        schedule=schedule, seed=SOLVER_SEED, incremental=True,
+        schedule=schedule, seed=SOLVER_SEED,
     )
     greedy._SOLO_CACHE.clear()
     t0 = time.perf_counter()
-    initial = naive.initial_plan(workload)
+    initial = solver.initial_plan(workload)
     t1 = time.perf_counter()
-    evaluator = fast.make_evaluator(workload)
+    evaluator = solver.make_evaluator(workload)
     t2 = time.perf_counter()
     evaluator.reset(initial)
     t3 = time.perf_counter()
@@ -212,9 +197,9 @@ def bench_one(
     ).placements == reference_greedy(workload, cluster, matrix, provider)
 
     t0 = time.perf_counter()
-    r_naive = naive.solve(workload, initial=initial)
+    r_naive = reference_solve(solver, workload, initial=initial)
     t1 = time.perf_counter()
-    r_fast = fast.solve(workload, initial=initial)
+    r_fast = solver.solve(workload, initial=initial)
     t2 = time.perf_counter()
 
     naive_s, fast_s = t1 - t0, t2 - t1
@@ -228,7 +213,7 @@ def bench_one(
         and r_naive.accepted == r_fast.accepted
     )
 
-    stats = dict(fast.last_evaluator.stats())
+    stats = dict(solver.last_evaluator.stats())
     lookups = stats["cache_hits"] + stats["cache_misses"]
     considered = stats["jobs_reestimated"] + stats["jobs_skipped"]
     return {

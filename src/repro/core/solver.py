@@ -159,12 +159,6 @@ class CastSolver:
         Annealing hyperparameters.
     seed:
         RNG seed — identical seeds reproduce identical plans.
-    incremental:
-        Use the delta-aware :class:`~repro.core.evaluator.PlanEvaluator`
-        in the annealing loop (bit-identical to the naive objective,
-        several times faster).  ``False`` falls back to full
-        :func:`evaluate_plan` calls — the reference path benchmarks and
-        parity tests compare against.
     backend:
         ``"anneal"`` (default) runs Algorithm 2's single Metropolis
         chain; ``"tempering"`` runs the parallel-tempering annealer on
@@ -181,12 +175,10 @@ class CastSolver:
     provider: CloudProvider
     schedule: AnnealingSchedule = AnnealingSchedule()
     seed: int = 42
-    incremental: bool = True
     backend: str = "anneal"
     replicas: int = 8
     #: The evaluator used by the most recent :meth:`solve` (None when
-    #: the naive or tempering path ran) — exposes cache hit/miss
-    #: counters.
+    #: the tempering path ran) — exposes cache hit/miss counters.
     last_evaluator: Optional[PlanEvaluator] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -289,18 +281,6 @@ class CastSolver:
 
         return move
 
-    def neighbor(
-        self, workload: WorkloadSpec
-    ) -> Callable[[TieringPlan, np.random.Generator], TieringPlan]:
-        """Bare-plan view of :meth:`neighbor_moves`, for the plain
-        objective of the ``incremental=False`` reference path."""
-        moves = self.neighbor_moves(workload)
-
-        def move(plan: TieringPlan, rng: np.random.Generator) -> TieringPlan:
-            return moves(plan, rng).state
-
-        return move
-
     # -- entry points ------------------------------------------------------------
 
     def initial_plan(self, workload: WorkloadSpec) -> TieringPlan:
@@ -370,13 +350,14 @@ class CastSolver:
     ) -> AnnealingResult[TieringPlan]:
         """Run Algorithm 2 and return the best plan found.
 
-        With ``incremental`` (the default) the annealer evaluates
-        neighbors through the delta-aware
-        :class:`~repro.core.evaluator.PlanEvaluator` — same utilities,
-        same plans, a fraction of the work per iteration.  ``progress``
-        receives sampled :class:`~repro.obs.progress.SolverProgress`
-        snapshots every ``progress_every`` iterations (disabled, the
-        default, costs one pointer check per iteration).
+        The ``anneal`` backend evaluates neighbors through the
+        delta-aware :class:`~repro.core.evaluator.PlanEvaluator` — the
+        utilities and plans of full :func:`evaluate_plan` calls (the
+        reference solve of ``tests/reference/``), at a fraction of the
+        work per iteration.  ``progress`` receives sampled
+        :class:`~repro.obs.progress.SolverProgress` snapshots every
+        ``progress_every`` iterations (disabled, the default, costs one
+        pointer check per iteration).
 
         ``schedule`` overrides the solver's annealing schedule for this
         run only, and ``evaluator`` supplies a pre-built
@@ -386,7 +367,7 @@ class CastSolver:
         so a stale base is harmless).  Both are the seams
         :meth:`warm_solve` uses; the evaluator and ``neighbor_fn`` (a
         pre-built :meth:`neighbor_moves` closure) overrides apply to
-        the incremental ``anneal`` path only.
+        the ``anneal`` backend only.
         """
         with _span(
             "solver.solve",
@@ -424,24 +405,16 @@ class CastSolver:
             raise SolverError(f"unknown solver backend: {self.backend!r}")
         self.last_tempering = None
         init = initial if initial is not None else self.initial_plan(workload)
-        if self.incremental:
-            objective: Any = (
-                evaluator if evaluator is not None
-                else self.make_evaluator(workload)
-            )
-            moves: Any = (
-                neighbor_fn if neighbor_fn is not None
-                else self.neighbor_moves(workload)
-            )
-            self.last_evaluator = objective
-        else:
-            objective = self.objective(workload)
-            moves = self.neighbor(workload)
-            self.last_evaluator = None
+        if evaluator is None:
+            evaluator = self.make_evaluator(workload)
+        self.last_evaluator = evaluator
         return simulated_annealing(
             initial_state=init,
-            utility_fn=objective,
-            neighbor_fn=moves,
+            utility_fn=evaluator,
+            neighbor_fn=(
+                neighbor_fn if neighbor_fn is not None
+                else self.neighbor_moves(workload)
+            ),
             schedule=sched,
             rng=np.random.default_rng(self.seed),
             progress=progress,

@@ -14,9 +14,8 @@ reported numbers *identical* to a serial run:
   :mod:`simulator cache <repro.simulator.cache>` *before* dispatch —
   shape-duplicate SWIM jobs are simulated once, in one process, and
   the parent cache learns every fresh result;
-* workers inherit the parent's channel/cache environment through the
-  task payload, so ``REPRO_SIM_REFERENCE`` flips made *after* the pool
-  spawned still apply;
+* workers inherit the parent's ``REPRO_SIM_CACHE`` setting through the
+  task payload, so a flip made *after* the pool spawned still applies;
 * worker spans and metric deltas come home through the pool, like the
   solver pool's restarts;
 * seeds for randomized studies derive via
@@ -54,12 +53,6 @@ from ..simulator.engine import (
     simulate_workflow,
 )
 from ..simulator.metrics import JobSimResult, WorkloadSimResult
-from ..simulator.storage_backend import (
-    REFERENCE_ENV,
-    channel_impl_name,
-    use_reference_channel,
-)
-from ..simulator.vectorized import ANALYTIC_ENV
 from ..workers import WorkerPool
 from ..workloads.spec import JobSpec
 from ..workloads.workflow import Workflow
@@ -82,19 +75,14 @@ JobSim = Tuple[JobSpec, Tier, Optional[Mapping[Tier, float]]]
 
 def _sim_env() -> Dict[str, str]:
     """The simulation-relevant environment to replay inside workers."""
-    return {
-        k: os.environ[k]
-        for k in (REFERENCE_ENV, CACHE_ENV, ANALYTIC_ENV)
-        if k in os.environ
-    }
+    return {CACHE_ENV: os.environ[CACHE_ENV]} if CACHE_ENV in os.environ else {}
 
 
 def _apply_env(env: Mapping[str, str]) -> None:
-    for k in (REFERENCE_ENV, CACHE_ENV, ANALYTIC_ENV):
-        if k in env:
-            os.environ[k] = env[k]
-        else:
-            os.environ.pop(k, None)
+    if CACHE_ENV in env:
+        os.environ[CACHE_ENV] = env[CACHE_ENV]
+    else:
+        os.environ.pop(CACHE_ENV, None)
 
 
 def _chunked(seq: Sequence[Any], n_chunks: int) -> List[List[Any]]:
@@ -167,8 +155,7 @@ class ExperimentRunner(WorkerPool):
         :data:`~repro.simulator.vectorized.ANALYTIC_RTOL` of the
         engine.  Off by default — the default runner remains
         bit-identical to serial engine runs, which the throughput
-        benchmarks assert.  ``REPRO_SIM_REFERENCE=1`` overrides the
-        opt-in and restores exact event-engine results.
+        benchmarks assert.
     """
 
     def __init__(self, workers: Optional[int] = None, fast_path: bool = False) -> None:
@@ -227,11 +214,10 @@ class ExperimentRunner(WorkerPool):
         """
         env = _sim_env()
         items = list(items)
-        fast = self.fast_path and not use_reference_channel()
         if not self.parallel:
             self.batches += 1
             self.tasks_run += len(items)
-            if fast:
+            if self.fast_path:
                 return simulate_batch(
                     items, cluster_spec, provider, fast_path=True
                 )
@@ -244,7 +230,7 @@ class ExperimentRunner(WorkerPool):
             # No fingerprints to dedupe on; ship raw chunks.
             self.batches += 1
             self.tasks_run += len(items)
-            return self._run_chunks(items, cluster_spec, provider, env, fast)
+            return self._run_chunks(items, cluster_spec, provider, env, self.fast_path)
 
         cache = simulation_cache()
         context = sim_key_context(cluster_spec, provider)
@@ -268,7 +254,7 @@ class ExperimentRunner(WorkerPool):
             # Engine results first (always authoritative); analytic
             # results only satisfy a fast-path runner.
             hit = cache.get(key)
-            if hit is None and fast:
+            if hit is None and self.fast_path:
                 hit = cache.get(ANALYTIC_KEY_PREFIX + key)
             if hit is not None:
                 known[key] = hit
@@ -279,7 +265,7 @@ class ExperimentRunner(WorkerPool):
         self.tasks_deduped += len(items) - len(pending_items)
         self.batches += 1
         self.tasks_run += len(pending_items)
-        fresh = self._run_chunks(pending_items, cluster_spec, provider, env, fast)
+        fresh = self._run_chunks(pending_items, cluster_spec, provider, env, self.fast_path)
         for key, idx in pending.items():
             res = fresh[idx]
             # Analytic results (events == 0 marks them) must never sit
@@ -332,13 +318,12 @@ class ExperimentRunner(WorkerPool):
         """
         env = _sim_env()
         normalized = [(wf, dict(tier_of), caps) for wf, tier_of, caps in items]
-        fast = self.fast_path and not use_reference_channel()
         self.batches += 1
         self.tasks_run += len(normalized)
         results: List[WorkloadSimResult] = []
         for part in self._fan(
             simulate_workflow_chunk_task,
-            [(chunk, cluster_spec, provider, env, fast)
+            [(chunk, cluster_spec, provider, env, self.fast_path)
              for chunk in _chunked(normalized, self.workers)],
         ):
             results.extend(part)
@@ -359,25 +344,22 @@ class ExperimentRunner(WorkerPool):
 
 @dataclass(frozen=True)
 class SimReport:
-    """One snapshot of all three throughput layers' counters."""
+    """One snapshot of the simulation cache's and the runner's counters."""
 
-    channel: str
     cache: Mapping[str, int]
     runner: Mapping[str, int]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (``BENCH_sim.json`` embeds these)."""
         return {
-            "channel": self.channel,
             "cache": dict(self.cache),
             "runner": dict(self.runner),
         }
 
 
 def sim_report(runner: Optional[ExperimentRunner] = None) -> SimReport:
-    """Snapshot the active channel impl, cache and runner counters."""
+    """Snapshot the cache and runner counters."""
     return SimReport(
-        channel=channel_impl_name(),
         cache=simulation_cache().stats(),
         runner=runner.stats() if runner is not None else {},
     )

@@ -27,7 +27,6 @@ from .engine import (
 )
 from .vectorized import (
     ANALYTIC_RTOL,
-    analytic_enabled,
     batch_results_match,
     fallback_reason,
     fastpath_stats,
@@ -38,22 +37,12 @@ from .events import EventQueue
 from .hdfs import BlockPlacement
 from .metrics import JobSimResult, WorkloadSimResult
 from .scheduler import PhaseRun
-from .storage_backend import (
-    ReferenceSharedChannel,
-    SharedChannel,
-    VirtualTimeSharedChannel,
-    channel_impl_name,
-    use_reference_channel,
-)
+from .storage_backend import SharedChannel
 from .tasks import make_map_task, make_reduce_task
 
 __all__ = [
     "EventQueue",
     "SharedChannel",
-    "ReferenceSharedChannel",
-    "VirtualTimeSharedChannel",
-    "use_reference_channel",
-    "channel_impl_name",
     "SimulationCache",
     "simulation_cache",
     "cache_enabled",
@@ -78,7 +67,6 @@ __all__ = [
     "simulate_workflow",
     "cross_tier_transfer_seconds",
     "ANALYTIC_RTOL",
-    "analytic_enabled",
     "batch_results_match",
     "fallback_reason",
     "fastpath_stats",

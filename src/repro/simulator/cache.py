@@ -26,21 +26,22 @@ The cache key is a plain tuple of everything the simulator reads:
   simulator reads (VM count, slot counts, NIC), a SHA-256 digest of the
   provider catalog's *performance* fields — prices and the provider
   name are excluded because the simulator never reads them, so a
-  price-only catalog change keeps its hits — and the active channel
-  implementation, so flipping ``REPRO_SIM_REFERENCE`` can never serve
-  results simulated by the other implementation.
+  price-only catalog change keeps its hits.
 
 The context is the same for every job of a batch, so batch callers
-build it once and pass it in; the per-job part hashes no bytes and
-reads no environment.  A key equal to another names the same inputs
-(``tests/test_sim_cache.py`` checks it against the canonical-JSON key
-this module used before); the one spelling it merges that JSON kept
-apart is a ``-0.0`` against a ``0.0`` cap, both an empty volume.
+build it once and pass it in; the per-job part hashes no bytes.  A key
+equal to another names the same inputs (``tests/test_sim_cache.py``
+checks it against the canonical-JSON key this module used before); the
+one spelling it merges that JSON kept apart is a ``-0.0`` against a
+``0.0`` cap, both an empty volume.
 
 Hits are bit-exact by construction: the stored
 :class:`~repro.simulator.metrics.JobSimResult` is the object the
 simulator produced, re-stamped with the requesting job's id.  Disable
-with ``REPRO_SIM_CACHE=0`` (e.g. to time the raw simulator).
+with ``REPRO_SIM_CACHE=0`` (e.g. to time the raw simulator).  The key
+names no simulator implementation, so the reference simulator of
+``tests/reference/`` runs with the cache off: its results are never
+stored here nor served from here.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..workloads.spec import JobSpec
 from .metrics import JobSimResult
-from .storage_backend import channel_impl_name
 
 __all__ = [
     "SimKey",
@@ -170,13 +170,10 @@ def catalog_digest(provider: CloudProvider) -> str:
 
 def sim_key_context(
     cluster_spec: ClusterSpec, provider: CloudProvider
-) -> Tuple[str, str, str]:
-    """The part of a simulation key every job of one batch shares.
-
-    The cluster shape, the catalog digest and the active channel
-    implementation (read from the environment here, once per batch).
-    """
-    return (_cluster_key(cluster_spec), catalog_digest(provider), channel_impl_name())
+) -> Tuple[str, str]:
+    """The part of a simulation key every job of one batch shares:
+    the cluster shape and the catalog digest."""
+    return (_cluster_key(cluster_spec), catalog_digest(provider))
 
 
 def job_sim_fingerprint(
@@ -189,7 +186,7 @@ def job_sim_fingerprint(
     stage_in: bool,
     stage_out: bool,
     placement_tiers: Optional[Sequence[Tier]] = None,
-    context: Optional[Tuple[str, str, str]] = None,
+    context: Optional[Tuple[str, str]] = None,
 ) -> SimKey:
     """Hashable key identifying one job simulation.
 

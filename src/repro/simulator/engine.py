@@ -19,6 +19,11 @@ Jobs in a workload run back-to-back (the cluster is the unit of
 scheduling in the paper's evaluation, and Eq. 4 sums per-job times),
 and workflow simulation additionally charges cross-tier output→input
 transfers between dependent jobs.
+
+There is one event engine: the virtual-time channels of
+:mod:`~repro.simulator.storage_backend` under the ring dispatcher of
+:mod:`~repro.simulator.scheduler`.  The seed channel and dispatcher it
+replaced live in ``tests/reference/`` as the executable specification.
 """
 
 from __future__ import annotations
@@ -47,10 +52,8 @@ from .cluster import SimCluster, channel_bandwidth_mb_s
 from .hdfs import BlockPlacement
 from .metrics import JobSimResult, WorkloadSimResult
 from .scheduler import PhaseRun, TaskBody
-from .storage_backend import use_reference_channel
 from .tasks import make_map_task, make_reduce_task
 from .vectorized import (
-    analytic_enabled,
     evaluate_wave_model,
     fallback_reason,
     wave_model_inputs,
@@ -435,7 +438,7 @@ def simulate_batch(
     block_placements: Optional[Sequence[Optional[BlockPlacement]]] = None,
     stage_in: bool = True,
     stage_out: bool = True,
-    fast_path: Optional[bool] = None,
+    fast_path: bool = True,
 ) -> List[JobSimResult]:
     """Simulate many ``(job, input_tier, caps)`` requests at once.
 
@@ -455,12 +458,8 @@ def simulate_batch(
        :data:`ANALYTIC_KEY_PREFIX`, so they can never shadow an engine
        result;
     3. everything else falls back to :func:`simulate_job` per request —
-       with ``REPRO_SIM_REFERENCE=1`` (or ``fast_path=False``) the whole
-       batch takes this path and is bit-identical to serial engine runs.
-
-    ``fast_path=None`` follows ``REPRO_SIM_ANALYTIC`` (on by default);
-    an explicit ``True``/``False`` overrides the environment.  The
-    reference-channel escape hatch always wins.
+       with ``fast_path=False`` the whole batch takes this path and is
+       bit-identical to serial engine runs.
     """
     items = list(items)
     if not items:
@@ -476,8 +475,6 @@ def simulate_batch(
                 f"{len(placements)} block placements"
             )
 
-    fast = analytic_enabled() if fast_path is None else bool(fast_path)
-    reference = use_reference_channel()
     use_cache = cache_enabled()
     cache = simulation_cache() if use_cache else None
     context = sim_key_context(cluster_spec, provider) if use_cache else None
@@ -517,10 +514,10 @@ def simulate_batch(
                 continue
             first_for_key[key] = i
 
-        if reference or not fast:
-            reason = "reference" if reference else "disabled"
-        else:
+        if fast_path:
             reason = fallback_reason(job, placement, stage_in, stage_out)
+        else:
+            reason = "disabled"
         if reason is None:
             akey = None if key is None else ANALYTIC_KEY_PREFIX + key
             if akey is not None:

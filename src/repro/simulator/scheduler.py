@@ -16,7 +16,6 @@ from typing import Callable, Deque, Dict, Optional, Sequence
 
 from ..errors import SimulationError
 from .cluster import SimCluster, SimNode
-from .storage_backend import use_reference_channel
 
 __all__ = ["PhaseRun", "TaskBody"]
 
@@ -45,7 +44,7 @@ class PhaseRun:
 
     __slots__ = (
         "cluster", "kind", "_pending", "_pinned", "_n_total", "_n_done",
-        "_on_phase_done", "_rr_next", "_started", "_reference",
+        "_on_phase_done", "_started",
     )
 
     def __init__(
@@ -77,13 +76,7 @@ class PhaseRun:
         self._n_total = len(tasks)
         self._n_done = 0
         self._on_phase_done = on_phase_done
-        self._rr_next = 0
         self._started = False
-        # REPRO_SIM_REFERENCE restores the seed dispatcher alongside the
-        # reference channels, so the flag reproduces the original
-        # simulator end to end.  Read once: a PhaseRun never changes
-        # implementation mid-flight.
-        self._reference = use_reference_channel()
 
     # -- slot bookkeeping --------------------------------------------------------
 
@@ -117,7 +110,9 @@ class PhaseRun:
             raise SimulationError("phase deadlocked: pinned tasks cannot start")
 
     def _dispatch(self) -> None:
-        """Fill free slots round-robin until tasks or slots run out.
+        """Fill free slots round-robin from node 0 until tasks or slots
+        run out (once, from :meth:`start`; completions refill through
+        the node-local path of :meth:`_on_task_done`).
 
         Data-local (pinned) tasks only run on their node — Hadoop's
         locality-preferring placement; unpinned tasks take any slot.
@@ -129,17 +124,12 @@ class PhaseRun:
         node is therefore visited on a ring it drops off permanently on
         failure, one slot filled per visit (breadth-first, matching the
         wave structure), for O(n_nodes + dispatched) per pass instead
-        of a full rescan after every successful dispatch.
+        of a full rescan after every successful dispatch.  The seed
+        full-rescan dispatcher lives on in ``tests/reference/``, which
+        checks that both pick the same node and start time per task.
         """
-        if self._reference:
-            self._dispatch_reference()
-            return
         nodes = self.cluster.nodes
-        n_nodes = len(nodes)
-        ring: Deque[int] = deque(
-            (self._rr_next + i) % n_nodes for i in range(n_nodes)
-        )
-        last_success = -1
+        ring: Deque[int] = deque(range(len(nodes)))
         while ring and (self._pending or self._pinned):
             idx = ring.popleft()
             node = nodes[idx]
@@ -155,40 +145,6 @@ class PhaseRun:
             else:
                 continue
             ring.append(idx)
-            last_success = idx
-            self._take_slot(node)
-            task(node, lambda n=node: self._on_task_done(n))
-        if last_success >= 0:
-            # Reproduce the reference scan's resume point (mod n_nodes):
-            # it always stopped one visit past the last dispatch.
-            self._rr_next = last_success + 1
-
-    def _dispatch_reference(self) -> None:
-        """The seed dispatcher, verbatim: full rescan after each dispatch.
-
-        O(n_nodes × tasks) per phase — kept as the executable spec the
-        ring dispatcher and the completion fast path are checked
-        against under ``REPRO_SIM_REFERENCE=1``.
-        """
-        n_nodes = self.cluster.n_nodes
-        scanned = 0
-        while (self._pending or self._pinned) and scanned < n_nodes:
-            node = self.cluster.node(self._rr_next % n_nodes)
-            self._rr_next += 1
-            if self._slots_free(node) <= 0:
-                scanned += 1
-                continue
-            local = self._pinned.get(node.node_id)
-            if local:
-                task = local.popleft()
-                if not local:
-                    del self._pinned[node.node_id]
-            elif self._pending:
-                task = self._pending.popleft()
-            else:
-                scanned += 1
-                continue
-            scanned = 0
             self._take_slot(node)
             task(node, lambda n=node: self._on_task_done(n))
 
@@ -197,10 +153,6 @@ class PhaseRun:
         self._n_done += 1
         if self._n_done == self._n_total:
             self._on_phase_done()
-            return
-        if self._reference:
-            if self._pending or self._pinned:
-                self._dispatch_reference()
             return
         # Node-local fast path.  Every full dispatch pass ends with the
         # invariant "a node with free slots has nothing dispatchable to
@@ -220,8 +172,6 @@ class PhaseRun:
             task = self._pending.popleft()
         else:
             return
-        # Where the ring pass dispatching this same task would resume.
-        self._rr_next = node.node_id + 1
         self._take_slot(node)
         task(node, lambda n=node: self._on_task_done(n))
 

@@ -13,78 +13,45 @@ magnitude).
 Object-store transfers additionally pay a fixed per-request setup
 latency before entering the channel (GCS-connector behaviour, §3.1.2).
 
-Two implementations of the same fluid model live here:
-
-* :class:`VirtualTimeSharedChannel` (the default) — a processor-sharing
-  **virtual clock**.  Virtual time advances at ``B/k`` MB per simulated
-  second, a transfer of ``S`` MB entering at virtual time ``V`` gets a
-  service tag ``V + S``, and completions pop from a heap ordered by
-  tag.  Membership changes cost ``O(log k)`` instead of the reference
-  implementation's ``O(k)`` bulk decrement + ``O(k)`` min scan, and an
-  identical-size cohort (a wave of equal map tasks entering together)
-  shares one tag value and completes in a single event.
-* :class:`ReferenceSharedChannel` — the original per-transfer
-  bulk-decrement implementation, kept as the executable specification.
-  Select it globally with ``REPRO_SIM_REFERENCE=1``;
-  ``benchmarks/bench_sim_throughput.py`` gates on the two agreeing to
-  ≤1e-9 relative on every phase timing.
-
-:func:`SharedChannel` is the factory every caller goes through; it
-reads the environment per construction so a single process can compare
-both implementations.
+The channel is a processor-sharing **virtual clock**.  Virtual time
+advances at ``B/k`` MB per simulated second, a transfer of ``S`` MB
+entering at virtual time ``V`` gets a service tag ``V + S``, and
+completions pop from a heap ordered by tag.  Membership changes cost
+``O(log k)`` instead of an ``O(k)`` bulk decrement + ``O(k)`` min scan,
+and an identical-size cohort (a wave of equal map tasks entering
+together) shares one tag value and completes in a single event.
+``tests/reference/`` keeps the original per-transfer bulk-decrement
+channel as the executable specification; ``tests/`` and
+``benchmarks/bench_sim_throughput.py`` gate on the two agreeing to
+≤1e-9 relative on every completion time and phase timing.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from ..errors import SimulationError
 from .events import EventQueue
 
-__all__ = [
-    "SharedChannel",
-    "ReferenceSharedChannel",
-    "VirtualTimeSharedChannel",
-    "Transfer",
-    "use_reference_channel",
-    "channel_impl_name",
-]
+__all__ = ["SharedChannel"]
 
 _EPS_MB = 1e-9
 
-#: Environment variable selecting the reference simulator implementation
-#: (the original channels *and* the original phase dispatcher, so the
-#: flag restores the pre-optimization simulator end to end).
-REFERENCE_ENV = "REPRO_SIM_REFERENCE"
 
+class SharedChannel:
+    """Processor-sharing bandwidth server on a virtual service clock.
 
-def use_reference_channel() -> bool:
-    """Whether ``REPRO_SIM_REFERENCE`` selects the reference implementation."""
-    return os.environ.get(REFERENCE_ENV, "").strip().lower() not in ("", "0", "false")
-
-
-def channel_impl_name() -> str:
-    """The active implementation id (also part of the sim-cache key)."""
-    return "reference" if use_reference_channel() else "virtual-time"
-
-
-@dataclass
-class Transfer:
-    """One in-flight transfer on a reference channel."""
-
-    __slots__ = ("transfer_id", "remaining_mb", "on_complete")
-
-    transfer_id: int
-    remaining_mb: float
-    on_complete: Callable[[], None]
-
-
-class _ChannelBase:
-    """Shared validation, request-overhead handling and counters.
+    Invariant: the channel's virtual time ``V`` advances at ``B/k`` MB
+    per simulated second while ``k`` transfers are active, so every
+    active transfer receives exactly ``dV`` MB over any interval.  A
+    transfer of size ``S`` admitted at virtual time ``V₀`` therefore
+    completes when ``V`` reaches its service tag ``V₀ + S`` — and
+    ``tag − V`` *is* its remaining MB at any instant.  Completions pop
+    from a heap keyed by ``(tag, seq)``: membership changes cost
+    ``O(log k)``, equal-size cohorts share a tag and drain in one
+    event, and FIFO order within a cohort comes from the seq counter.
 
     Parameters
     ----------
@@ -107,6 +74,12 @@ class _ChannelBase:
         "_epoch",
         "busy_mb",
         "n_transfers",
+        "_heap",
+        "_ids",
+        "_vt",
+        "_n_active",
+        "_last_update",
+        "_wake_at",
     )
 
     def __init__(
@@ -129,6 +102,15 @@ class _ChannelBase:
         self.busy_mb = 0.0
         #: Total transfers completed (metrics).
         self.n_transfers = 0
+        # (service tag, seq, completion callback), heap-ordered.
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._ids = itertools.count()
+        self._vt = 0.0
+        self._n_active = 0
+        self._last_update = queue.now
+        # Fire time of the single valid outstanding wake event (None
+        # when nothing is scheduled).  See _rearm.
+        self._wake_at: float | None = None
 
     # -- public API --------------------------------------------------------
 
@@ -165,136 +147,11 @@ class _ChannelBase:
     @property
     def active_transfers(self) -> int:
         """Number of transfers currently sharing the channel."""
-        raise NotImplementedError
+        return self._n_active
 
     def current_rate_mb_s(self) -> float:
         """Per-transfer rate right now (``B/k``), or ``B`` when idle."""
-        return self.bandwidth_mb_s / max(1, self.active_transfers)
-
-    # -- implementation hook -----------------------------------------------
-
-    def _admit(self, size_mb: float, on_complete: Callable[[], None]) -> None:
-        raise NotImplementedError
-
-
-class ReferenceSharedChannel(_ChannelBase):
-    """Processor-sharing bandwidth server — the reference implementation.
-
-    Progress is advanced lazily on membership changes by bulk-
-    decrementing every active transfer (``O(k)``), the next completion
-    comes from a min scan over remaining sizes (``O(k)``), and stale
-    completion predictions are invalidated by epoch counters.  Correct
-    and simple, but ``O(n²)`` per phase of ``n`` concurrent transfers.
-    """
-
-    __slots__ = ("_active", "_ids", "_last_update")
-
-    def __init__(
-        self,
-        queue: EventQueue,
-        bandwidth_mb_s: float,
-        name: str = "channel",
-        request_overhead_s: float = 0.0,
-    ) -> None:
-        super().__init__(queue, bandwidth_mb_s, name, request_overhead_s)
-        self._active: Dict[int, Transfer] = {}
-        self._ids = itertools.count()
-        self._last_update = queue.now
-
-    @property
-    def active_transfers(self) -> int:
-        """Number of transfers currently sharing the channel."""
-        return len(self._active)
-
-    # -- fluid-model internals ----------------------------------------------
-
-    def _admit(self, size_mb: float, on_complete: Callable[[], None]) -> None:
-        self._advance()
-        tid = next(self._ids)
-        self._active[tid] = Transfer(tid, size_mb, on_complete)
-        self._reschedule()
-
-    def _advance(self) -> None:
-        """Progress all active transfers up to the current time."""
-        now = self._queue.now
-        elapsed = now - self._last_update
-        self._last_update = now
-        if elapsed <= 0 or not self._active:
-            return
-        rate = self.bandwidth_mb_s / len(self._active)
-        moved = rate * elapsed
-        for t in self._active.values():
-            t.remaining_mb -= moved
-            self.busy_mb += moved
-
-    def _reschedule(self) -> None:
-        """Schedule the next completion; invalidate older schedules."""
-        self._epoch += 1
-        if not self._active:
-            return
-        epoch = self._epoch
-        min_remaining = min(t.remaining_mb for t in self._active.values())
-        rate = self.bandwidth_mb_s / len(self._active)
-        eta = max(0.0, min_remaining) / rate
-        self._queue.schedule_after(eta, lambda: self._on_completion_event(epoch))
-
-    def _on_completion_event(self, epoch: int) -> None:
-        """Handle a (possibly stale) predicted completion."""
-        if epoch != self._epoch:
-            return  # membership changed since this was scheduled
-        self._advance()
-        finished = [t for t in self._active.values() if t.remaining_mb <= _EPS_MB]
-        for t in finished:
-            del self._active[t.transfer_id]
-        self._reschedule()
-        for t in finished:
-            self.n_transfers += 1
-            t.on_complete()
-
-
-class VirtualTimeSharedChannel(_ChannelBase):
-    """Processor-sharing bandwidth server on a virtual service clock.
-
-    Invariant: the channel's virtual time ``V`` advances at ``B/k`` MB
-    per simulated second while ``k`` transfers are active, so every
-    active transfer receives exactly ``dV`` MB over any interval.  A
-    transfer of size ``S`` admitted at virtual time ``V₀`` therefore
-    completes when ``V`` reaches its service tag ``V₀ + S`` — and
-    ``tag − V`` *is* its remaining MB at any instant.  Completions pop
-    from a heap keyed by ``(tag, seq)``: membership changes cost
-    ``O(log k)``, equal-size cohorts share a tag and drain in one
-    event, and FIFO order within a cohort comes from the seq counter.
-    """
-
-    __slots__ = ("_heap", "_ids", "_vt", "_n_active", "_last_update", "_wake_at")
-
-    def __init__(
-        self,
-        queue: EventQueue,
-        bandwidth_mb_s: float,
-        name: str = "channel",
-        request_overhead_s: float = 0.0,
-    ) -> None:
-        super().__init__(queue, bandwidth_mb_s, name, request_overhead_s)
-        # (service tag, seq, completion callback), heap-ordered.
-        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._ids = itertools.count()
-        self._vt = 0.0
-        self._n_active = 0
-        self._last_update = queue.now
-        # Fire time of the single valid outstanding wake event (None
-        # when nothing is scheduled).  See _rearm.
-        self._wake_at: float | None = None
-
-    @property
-    def active_transfers(self) -> int:
-        """Number of transfers currently sharing the channel."""
-        return self._n_active
-
-    @property
-    def virtual_time_mb(self) -> float:
-        """Accumulated per-transfer service (diagnostics / tests)."""
-        return self._vt
+        return self.bandwidth_mb_s / max(1, self._n_active)
 
     # -- fluid-model internals ----------------------------------------------
 
@@ -355,18 +212,3 @@ class VirtualTimeSharedChannel(_ChannelBase):
             self.n_transfers += 1
             on_complete()
 
-
-def SharedChannel(
-    queue: EventQueue,
-    bandwidth_mb_s: float,
-    name: str = "channel",
-    request_overhead_s: float = 0.0,
-) -> _ChannelBase:
-    """Build a shared channel with the active implementation.
-
-    The virtual-time channel is the default; ``REPRO_SIM_REFERENCE=1``
-    selects :class:`ReferenceSharedChannel` (read per construction, so
-    parity harnesses can flip it inside one process).
-    """
-    cls = ReferenceSharedChannel if use_reference_channel() else VirtualTimeSharedChannel
-    return cls(queue, bandwidth_mb_s, name=name, request_overhead_s=request_overhead_s)

@@ -39,15 +39,13 @@ express back to the exact event engine:
   phased workloads and mid-DAG workflow jobs;
 * ``"degenerate"`` — malformed task counts.
 
-``REPRO_SIM_REFERENCE=1`` disables the fast path entirely (the batch
-API then returns bit-identical event-engine results), and
-``REPRO_SIM_ANALYTIC=0`` turns it off for callers that did not opt in
-explicitly.
+``simulate_batch(..., fast_path=False)`` turns the fast path off
+(reason ``"disabled"``): the batch API then returns results
+bit-identical to serial event-engine runs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -64,10 +62,8 @@ from .storage_backend import _EPS_MB
 from .tasks import TASK_STARTUP_S
 
 __all__ = [
-    "ANALYTIC_ENV",
     "ANALYTIC_RTOL",
     "WaveModelInputs",
-    "analytic_enabled",
     "fallback_reason",
     "wave_model_inputs",
     "evaluate_wave_model",
@@ -76,18 +72,10 @@ __all__ = [
     "register_fastpath_metrics",
 ]
 
-#: Environment variable disabling the analytic fast path ("0"/"false").
-ANALYTIC_ENV = "REPRO_SIM_ANALYTIC"
-
 #: Documented agreement bound between the closed form and the
 #: virtual-time event engine: per-phase relative difference.  Matches
 #: the PARITY_RTOL the throughput benchmarks gate on.
 ANALYTIC_RTOL = 1e-9
-
-
-def analytic_enabled() -> bool:
-    """Whether ``REPRO_SIM_ANALYTIC`` leaves the fast path on (default)."""
-    return os.environ.get(ANALYTIC_ENV, "").strip().lower() not in ("0", "false")
 
 
 def fallback_reason(

@@ -72,7 +72,6 @@ class TestSerialRunner:
         assert ExperimentRunner(2).parallel
 
     def test_simulate_jobs_matches_direct_calls(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
         monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         prov = google_cloud_2015()
         cluster = ClusterSpec(n_vms=4)
@@ -87,7 +86,6 @@ class TestSerialRunner:
 
 class TestParallelRunner:
     def test_parallel_batch_is_bit_exact_and_dedupes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
         monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         prov = google_cloud_2015()
         cluster = ClusterSpec(n_vms=4)
@@ -106,7 +104,6 @@ class TestParallelRunner:
     def test_worker_simulation_spans_reach_the_parent(self, monkeypatch):
         from repro.obs.tracing import span, trace_collector
 
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
         monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         prov = google_cloud_2015()
         cluster = ClusterSpec(n_vms=4)
@@ -129,7 +126,7 @@ class TestSimReport:
     def test_report_shape(self):
         with ExperimentRunner(2) as r:
             report = sim_report(r).to_dict()
-        assert report["channel"] in ("virtual-time", "reference")
+        assert set(report) == {"cache", "runner"}
         assert set(report["cache"]) == {"hits", "misses", "evictions", "size"}
         assert report["runner"]["workers"] == 2
 
@@ -138,7 +135,6 @@ class TestSimReport:
 
 
 def test_simulate_job_task_payload_roundtrip(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
     monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
     prov = google_cloud_2015()
     cluster = ClusterSpec(n_vms=4)

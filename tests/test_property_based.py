@@ -18,6 +18,8 @@ from repro.units import seconds_to_hours_ceil
 from repro.workloads.apps import APP_CATALOG
 from repro.workloads.swim import synthesize_facebook_workload
 
+from reference.solver import bare_neighbor
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ class TestSolverMoveProperties:
         solver = CastSolver(cluster_spec=char_cluster, matrix=matrix,
                             provider=provider,
                             schedule=AnnealingSchedule(iter_max=1), seed=seed)
-        move = solver.neighbor(wl)
+        move = bare_neighbor(solver, wl)
         plan = TieringPlan.uniform(wl, Tier.PERS_SSD)
         rng = np.random.default_rng(seed)
         for _ in range(30):
@@ -253,7 +255,7 @@ class TestSolverMoveProperties:
         solver = CastPlusPlus(cluster_spec=char_cluster, matrix=matrix,
                               provider=provider,
                               schedule=AnnealingSchedule(iter_max=1), seed=seed)
-        move = solver.neighbor(wl)
+        move = bare_neighbor(solver, wl)
         plan = solver.initial_plan(wl)
         rng = np.random.default_rng(seed)
         for _ in range(30):

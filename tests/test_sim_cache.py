@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import pytest
@@ -29,10 +27,11 @@ from repro.simulator.engine import (
     simulate_job,
 )
 from repro.simulator.metrics import JobSimResult
-from repro.simulator.storage_backend import REFERENCE_ENV, channel_impl_name
 from repro.workloads.apps import PAGERANK, SORT, AppProfile
 from repro.workloads.io import job_from_dict
 from repro.workloads.spec import JobSpec
+
+from reference.simulator import reference_simulator
 
 
 @pytest.fixture()
@@ -84,12 +83,6 @@ class TestKeySensitivity:
         assert fp(make_job(), prov, cluster,
                   placement_tiers=[Tier.PERS_SSD, Tier.PERS_HDD]) != base
         assert fp(make_job(), prov, ClusterSpec(n_vms=6)) != base
-
-    def test_channel_impl_is_part_of_the_key(self, prov, cluster, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
-        virt = fp(make_job(), prov, cluster)
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
-        assert fp(make_job(), prov, cluster) != virt
 
 
 class TestCatalogDigest:
@@ -146,7 +139,6 @@ class TestLRU:
 
 class TestSimulateJobIntegration:
     def test_hit_is_bit_exact_and_restamped(self, prov, cluster, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
         monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         cache = simulation_cache()
         cache.clear()
@@ -169,6 +161,22 @@ class TestSimulateJobIntegration:
         monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         cached = simulate_job(make_job("u"), Tier.PERS_SSD, cluster, prov)
         assert cached == uncached
+
+    def test_reference_run_bypasses_the_cache(self, prov, cluster, monkeypatch):
+        # The key names no simulator implementation, so a reference
+        # run must neither read nor fill the cache, and must hand the
+        # cache setting back when it ends.
+        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+        cache = simulation_cache()
+        simulate_job(make_job("warm"), Tier.PERS_SSD, cluster, prov)
+        before, entries = cache.stats(), len(cache)
+        with reference_simulator():
+            assert not cache_enabled()
+            for tier in (Tier.PERS_SSD, Tier.OBJ_STORE, Tier.EPH_SSD):
+                simulate_job(make_job("ref"), tier, cluster, prov)
+        assert cache.stats() == before
+        assert len(cache) == entries
+        assert cache_enabled()
 
     def test_resolve_normalizes_uniform_placement(self, prov, cluster):
         job = make_job()
@@ -208,22 +216,8 @@ def reference_key(job, input_tier, cluster_spec, provider, caps, output_tier,
             "network_mb_s": cluster_spec.vm.network_mb_s,
         },
         "catalog": catalog_digest(provider),
-        "channel": channel_impl_name(),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-@contextmanager
-def _reference_channel(on):
-    saved = os.environ.get(REFERENCE_ENV)
-    os.environ[REFERENCE_ENV] = "1" if on else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[REFERENCE_ENV]
-        else:
-            os.environ[REFERENCE_ENV] = saved
 
 
 def _variant_catalogs():
@@ -263,7 +257,6 @@ _CHOICES = {
     "placement": [None, _SSD2, list(_SSD2), (Tier.PERS_HDD, Tier.PERS_HDD)],
     "n_vms": [4, 5],
     "provider": _variant_catalogs(),
-    "reference": [False, True],
 }
 
 #: Wire-decoded choices: what a request's JSON can say (sizes arrive
@@ -271,7 +264,7 @@ _CHOICES = {
 _WIRE_CHOICES = {
     **{k: _CHOICES[k] for k in (
         "input_tier", "output_tier", "stage_in", "stage_out", "placement",
-        "n_vms", "reference")},
+        "n_vms")},
     "app": ["sort", "pagerank", "grep"],
     "input_gb": [20, 20.0, 21.5],
     "n_maps": [None, 80, 3],
@@ -319,12 +312,9 @@ def _keys(case, wire=False):
     cluster = ClusterSpec(n_vms=case["n_vms"])
     args = (job, case["input_tier"], cluster, prov, caps, case["output_tier"],
             case["stage_in"], case["stage_out"], case["placement"])
-    with _reference_channel(case["reference"]):
-        key = job_sim_fingerprint(*args)
-        assert key == job_sim_fingerprint(
-            *args, context=sim_key_context(cluster, prov)
-        )
-        return key, reference_key(*args)
+    key = job_sim_fingerprint(*args)
+    assert key == job_sim_fingerprint(*args, context=sim_key_context(cluster, prov))
+    return key, reference_key(*args)
 
 
 class TestTupleKeyAgainstReference:

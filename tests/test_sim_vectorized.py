@@ -31,8 +31,6 @@ TIERS = (Tier.EPH_SSD, Tier.PERS_SSD, Tier.PERS_HDD, Tier.OBJ_STORE)
 
 
 def _fast_env(monkeypatch, cache: str = "0") -> None:
-    monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
-    monkeypatch.delenv("REPRO_SIM_ANALYTIC", raising=False)
     monkeypatch.setenv("REPRO_SIM_CACHE", cache)
 
 
@@ -131,33 +129,18 @@ class TestFallbackPaths:
         assert batch[0] == direct
         assert fastpath_stats()["fallback_reasons"] == {"phased": 1}
 
-    def test_reference_env_forces_bit_exact_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
-        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-        prov = google_cloud_2015()
-        cluster = ClusterSpec(n_vms=4)
-        jobs = [
-            JobSpec(job_id=f"s{i}", app=SORT, input_gb=10.0 * (i + 1))
-            for i in range(3)
-        ]
-        items = [(j, Tier.OBJ_STORE, None) for j in jobs]
-        direct = [simulate_job(j, t, cluster, prov) for j, t, _ in items]
-        reset_fastpath_stats()
-        batch = simulate_batch(items, cluster, prov, fast_path=True)
-        assert batch == direct  # float-for-float identical
-        assert fastpath_stats()["analytic"] == 0
-        assert fastpath_stats()["fallback_reasons"] == {"reference": 3}
-
     def test_fast_path_false_disables(self, monkeypatch):
         _fast_env(monkeypatch)
         prov = google_cloud_2015()
         cluster = ClusterSpec(n_vms=4)
         job = JobSpec(job_id="s", app=SORT, input_gb=20.0)
         direct = simulate_job(job, Tier.PERS_SSD, cluster, prov)
+        reset_fastpath_stats()
         batch = simulate_batch(
             [(job, Tier.PERS_SSD, None)], cluster, prov, fast_path=False
         )
         assert batch[0] == direct
+        assert fastpath_stats()["fallback_reasons"] == {"disabled": 1}
 
 
 class TestCacheCoherence:

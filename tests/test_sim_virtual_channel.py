@@ -1,8 +1,8 @@
-"""Virtual-time channel: properties and parity with the reference impl.
+"""Virtual-time channel: properties and parity with the reference channel.
 
-The two :mod:`repro.simulator.storage_backend` implementations are
-exercised *directly* (bypassing the env-driven factory) so one process
-can compare them side by side on identical transfer schedules.
+The product's virtual-time :class:`~repro.simulator.storage_backend.SharedChannel`
+and the seed per-transfer channel of ``tests/reference/`` run side by
+side on identical transfer schedules.
 """
 
 import pytest
@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.events import EventQueue
-from repro.simulator.storage_backend import (
-    ReferenceSharedChannel,
-    SharedChannel,
-    VirtualTimeSharedChannel,
-    channel_impl_name,
-    use_reference_channel,
-)
+from repro.simulator.storage_backend import SharedChannel
 
-IMPLS = [ReferenceSharedChannel, VirtualTimeSharedChannel]
+from reference.simulator import ReferenceSharedChannel
+
+IMPLS = [
+    pytest.param(ReferenceSharedChannel, id="ReferenceSharedChannel"),
+    pytest.param(SharedChannel, id="VirtualTimeSharedChannel"),
+]
 
 #: (start offset, size) schedules: a few overlapping bursts of varied
 #: sizes, including same-instant cohorts (offset 0 repeats).
@@ -93,7 +92,7 @@ class TestParity:
     @given(schedules)
     def test_completion_times_match_reference(self, transfers):
         ref, _ = run_schedule(ReferenceSharedChannel, transfers)
-        virt, _ = run_schedule(VirtualTimeSharedChannel, transfers)
+        virt, _ = run_schedule(SharedChannel, transfers)
         for i, t_ref in ref.items():
             t_virt = virt[i]
             denom = max(abs(t_ref), abs(t_virt), 1e-12)
@@ -105,27 +104,7 @@ class TestParity:
     @given(schedules)
     def test_parity_with_request_overhead(self, transfers):
         ref, _ = run_schedule(ReferenceSharedChannel, transfers, overhead=0.08)
-        virt, _ = run_schedule(VirtualTimeSharedChannel, transfers, overhead=0.08)
+        virt, _ = run_schedule(SharedChannel, transfers, overhead=0.08)
         for i in ref:
             assert virt[i] == pytest.approx(ref[i], rel=1e-9)
 
-
-class TestFactory:
-    def test_default_is_virtual_time(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
-        assert not use_reference_channel()
-        assert channel_impl_name() == "virtual-time"
-        ch = SharedChannel(EventQueue(), 100.0)
-        assert isinstance(ch, VirtualTimeSharedChannel)
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
-        assert use_reference_channel()
-        assert channel_impl_name() == "reference"
-        ch = SharedChannel(EventQueue(), 100.0)
-        assert isinstance(ch, ReferenceSharedChannel)
-
-    def test_env_zero_means_virtual(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "0")
-        assert not use_reference_channel()
-        assert isinstance(SharedChannel(EventQueue(), 100.0), VirtualTimeSharedChannel)
