@@ -108,10 +108,8 @@ class OperationalLayer:
     def __init__(self, interval_s: float = 0.1) -> None:
         self.interval_s = float(interval_s)
         self.registry = MetricsRegistry()
-        self.recorder = FlightRecorder()
-        self.recorder.bind_metrics(self.registry)
-        self.engine = SLOEngine()
-        self.engine.bind_metrics(self.registry)
+        self.recorder = FlightRecorder(registry=self.registry)
+        self.engine = SLOEngine(registry=self.registry)
         self._latency = self.registry.histogram(
             LATENCY_METRIC, "Request latency by op", labelnames=("op",)
         )
@@ -155,7 +153,7 @@ class OperationalLayer:
         return {
             "interval_s": self.interval_s,
             "evaluations": self.evaluations,
-            "requests_recorded": self.recorder.recorded,
+            "requests_recorded": self.recorder.stats()["recorded"],
             "slo_states": {
                 op: entry["state"]
                 for op, entry in report.get("ops", {}).items()

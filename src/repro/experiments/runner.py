@@ -42,6 +42,7 @@ from ..simulator.cache import (
     SimKey,
     cache_enabled,
     job_sim_fingerprint,
+    record_events,
     sim_key_context,
     simulation_cache,
 )
@@ -238,6 +239,7 @@ class ExperimentRunner(WorkerPool):
         item_keys: List[SimKey] = []
         pending_items: List[JobSim] = []
         pending: Dict[SimKey, int] = {}
+        lookups = hits = evictions = 0
         for job, tier, caps in items:
             rcaps, placement, out_tier = resolve_sim_inputs(
                 job, tier, cluster_spec, provider, per_vm_capacity_gb=caps
@@ -254,9 +256,12 @@ class ExperimentRunner(WorkerPool):
             # Engine results first (always authoritative); analytic
             # results only satisfy a fast-path runner.
             hit = cache.get(key)
+            lookups += 1
             if hit is None and self.fast_path:
                 hit = cache.get(ANALYTIC_KEY_PREFIX + key)
+                lookups += 1
             if hit is not None:
+                hits += 1
                 known[key] = hit
                 continue
             pending[key] = len(pending_items)
@@ -271,8 +276,9 @@ class ExperimentRunner(WorkerPool):
             # Analytic results (events == 0 marks them) must never sit
             # under an engine key; engine fallbacks keep the bare key.
             store_key = ANALYTIC_KEY_PREFIX + key if res.events == 0 else key
-            cache.put(store_key, res)
+            evictions += cache.put(store_key, res)
             known[key] = res
+        record_events(hits, lookups - hits, evictions)
 
         results: List[JobSimResult] = []
         for (job, _tier, _caps), key in zip(items, item_keys):

@@ -230,6 +230,7 @@ class FleetRouter(OpServer):
             max_inflight=max_inflight,
             max_queue_per_tenant=max_queue_per_tenant,
             weights=tenant_weights,
+            registry=self.metrics,
         )
         self.default_restarts = int(default_restarts)
         self.ring = ConsistentHashRing(vnodes=vnodes)
@@ -250,7 +251,6 @@ class FleetRouter(OpServer):
             "Solves forwarded per shard",
             labelnames=("shard",),
         )
-        self.scheduler.bind_metrics(self.metrics)
         self.metrics.register_collector("fleet_shards", self._mirror_shards)
 
     def _mirror_shards(self, reg: MetricsRegistry) -> None:

@@ -33,6 +33,7 @@ import itertools
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import FleetError, ServiceBusyError
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["WeightedFairScheduler"]
 
@@ -40,7 +41,10 @@ DEFAULT_TENANT = "default"
 
 
 class WeightedFairScheduler:
-    """Work-conserving WFQ admission gate, one slot per forwarded solve."""
+    """Work-conserving WFQ admission gate, one slot per forwarded solve.
+
+    Admission outcomes count into ``registry`` (a private one when
+    omitted) as ``cast_fleet_admission_total{outcome=...}``."""
 
     def __init__(
         self,
@@ -48,6 +52,7 @@ class WeightedFairScheduler:
         max_queue_per_tenant: int = 64,
         weights: Optional[Mapping[str, float]] = None,
         default_weight: float = 1.0,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_inflight < 1:
             raise FleetError(f"max_inflight must be >= 1, got {max_inflight}")
@@ -71,8 +76,14 @@ class WeightedFairScheduler:
         self._last_tag: Dict[str, float] = {}
         self._queued: Dict[str, int] = {}
         self._inflight: Dict[str, int] = {}
-        self.admitted = 0
-        self.shed = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._outcomes = registry.counter(
+            "cast_fleet_admission_total", "WFQ admission outcomes",
+            labelnames=("outcome",),
+        )
+        self._outcomes.inc(0, outcome="admitted")
+        self._outcomes.inc(0, outcome="shed")
+        registry.register_collector("fleet_tenancy", self._collect)
 
     # -- configuration -------------------------------------------------------
 
@@ -102,7 +113,7 @@ class WeightedFairScheduler:
             self._start(tenant)
             return
         if self._queued.get(tenant, 0) >= self.max_queue_per_tenant:
-            self.shed += 1
+            self._outcomes.inc(outcome="shed")
             raise ServiceBusyError(
                 f"tenant {tenant!r} at queue capacity "
                 f"({self.max_queue_per_tenant} waiting)"
@@ -128,7 +139,7 @@ class WeightedFairScheduler:
 
     def _start(self, tenant: str) -> None:
         self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
-        self.admitted += 1
+        self._outcomes.inc(outcome="admitted")
 
     def release(self, tenant: str = DEFAULT_TENANT) -> None:
         """Return a slot and dispatch the fairest waiter, if any."""
@@ -181,36 +192,25 @@ class WeightedFairScheduler:
             "max_queue_per_tenant": self.max_queue_per_tenant,
             "inflight": self.inflight_total,
             "queued": self.queued_total,
-            "admitted": self.admitted,
-            "shed": self.shed,
+            "admitted": int(self._outcomes.value(outcome="admitted")),
+            "shed": int(self._outcomes.value(outcome="shed")),
             "weights": dict(self._weights),
             "queue_depths": self.queue_depths(),
         }
 
-    def bind_metrics(self, registry: Any, key: str = "fleet_tenancy") -> None:
-        """Mirror queue/inflight depths into ``registry`` per tenant."""
-
-        def _mirror(reg: Any) -> None:
-            queued = reg.gauge(
-                "cast_fleet_tenant_queued",
-                "Requests waiting in the WFQ per tenant",
-                labelnames=("tenant",),
-            )
-            inflight = reg.gauge(
-                "cast_fleet_tenant_inflight",
-                "Forward slots held per tenant",
-                labelnames=("tenant",),
-            )
-            for tenant, depth in self.queue_depths().items():
-                queued.set(depth, tenant=tenant)
-            for tenant, count in self.inflight_by_tenant().items():
-                inflight.set(count, tenant=tenant)
-            events = reg.counter(
-                "cast_fleet_admission_total",
-                "WFQ admission outcomes",
-                labelnames=("outcome",),
-            )
-            events.set_total(self.admitted, outcome="admitted")
-            events.set_total(self.shed, outcome="shed")
-
-        registry.register_collector(key, _mirror)
+    def _collect(self, reg: MetricsRegistry) -> None:
+        """Publish queue/inflight depths per tenant."""
+        queued = reg.gauge(
+            "cast_fleet_tenant_queued",
+            "Requests waiting in the WFQ per tenant",
+            labelnames=("tenant",),
+        )
+        inflight = reg.gauge(
+            "cast_fleet_tenant_inflight",
+            "Forward slots held per tenant",
+            labelnames=("tenant",),
+        )
+        for tenant, depth in self.queue_depths().items():
+            queued.set(depth, tenant=tenant)
+        for tenant, count in self.inflight_by_tenant().items():
+            inflight.set(count, tenant=tenant)

@@ -23,6 +23,7 @@ a live daemon on demand.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import os
 import platform
@@ -104,10 +105,16 @@ class FlightRecorder:
 
     Thread-safe: the asyncio dispatch loop records from the event
     loop thread while exposition/bundling may read from worker
-    threads; one lock covers both structures.
+    threads; one lock covers both structures.  Records count into
+    ``registry`` (a private one when omitted).
     """
 
-    def __init__(self, capacity: int = 512, exemplars: int = 8) -> None:
+    def __init__(
+        self,
+        capacity: int = 512,
+        exemplars: int = 8,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
         if capacity < 1:
             raise ObservabilityError(f"capacity must be >= 1, got {capacity}")
         if exemplars < 1:
@@ -119,7 +126,14 @@ class FlightRecorder:
         # Per-op min-heaps of (latency, seq, record): the root is the
         # *fastest* of the slowest-K, so replacement is O(log K).
         self._slowest: Dict[str, List[Tuple[float, int, FlightRecord]]] = {}
-        self._recorded = 0
+        self._seq = itertools.count(1)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._records_total = registry.counter(
+            "cast_flightrec_records_total",
+            "Requests recorded by the flight recorder",
+        )
+        self._records_total.inc(0)
+        registry.register_collector("flightrec", self._collect)
 
     def record(
         self,
@@ -135,8 +149,8 @@ class FlightRecorder:
         t: Optional[float] = None,
     ) -> FlightRecord:
         """Append one request record (the dispatch-loop hot path)."""
+        self._records_total.inc()
         with self._lock:
-            self._recorded += 1
             rec = FlightRecord(
                 op=op,
                 latency_s=float(latency_s),
@@ -147,7 +161,7 @@ class FlightRecorder:
                 error=error,
                 trace_id=trace_id,
                 t=time.time() if t is None else float(t),
-                seq=self._recorded,
+                seq=next(self._seq),
             )
             self._ring.append(rec)
             heap = self._slowest.setdefault(op, [])
@@ -161,12 +175,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
-
-    @property
-    def recorded(self) -> int:
-        """Total records ever seen (>= ``len`` once the ring wraps)."""
-        with self._lock:
-            return self._recorded
 
     def records(
         self, n: Optional[int] = None, op: Optional[str] = None
@@ -229,27 +237,19 @@ class FlightRecorder:
                 ]
         return metrics_json
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Mirror ring occupancy/throughput into ``cast_flightrec_*``."""
-
-        def mirror(reg: MetricsRegistry) -> None:
-            reg.counter(
-                "cast_flightrec_records_total",
-                "Requests recorded by the flight recorder",
-            ).set_total(self.recorded)
-            size = reg.gauge(
-                "cast_flightrec_ring", "Flight-recorder ring state",
-                labelnames=("stat",),
-            )
-            size.set(len(self), stat="size")
-            size.set(self.capacity, stat="capacity")
-
-        registry.register_collector("flightrec", mirror)
+    def _collect(self, reg: MetricsRegistry) -> None:
+        size = reg.gauge(
+            "cast_flightrec_ring", "Flight-recorder ring state",
+            labelnames=("stat",),
+        )
+        size.set(len(self), stat="size")
+        size.set(self.capacity, stat="capacity")
 
     def stats(self) -> Dict[str, int]:
-        """Plain counters for the ``stats`` payload."""
+        """Counters for the ``stats`` payload (``recorded`` keeps counting
+        once the ring wraps)."""
         return {
-            "recorded": self.recorded,
+            "recorded": int(self._records_total.value()),
             "size": len(self),
             "capacity": self.capacity,
             "exemplar_k": self.exemplar_k,

@@ -2,11 +2,12 @@
 
 Design constraints, in order:
 
-* **Cheap when idle.**  Instruments are plain objects guarded by one
-  registry-wide :class:`threading.RLock`; an increment is a dict update
-  under that lock.  Nothing here belongs in a per-iteration hot loop —
-  the solver loops keep their local ``int`` counters and publish totals
-  once per solve.
+* **Counted once, where it happens.**  Components count into the
+  registry and read their ``stats`` back from it.  An increment is a
+  label check and a dict update under one registry-wide
+  :class:`threading.RLock` — still nothing for a per-iteration hot
+  loop: the solver and simulator batch paths publish totals once per
+  solve or batch.
 * **Mergeable.**  :meth:`MetricsRegistry.snapshot` emits a plain
   JSON-able dict and :meth:`MetricsRegistry.merge` folds such a
   snapshot back in (counters and histograms add, gauges last-write).
@@ -32,7 +33,6 @@ plumbing a parameter through every signature.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -73,14 +73,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 _LabelKey = Tuple[str, ...]
 
 
-def _label_key(labelnames: Tuple[str, ...], labels: Mapping[str, Any]) -> _LabelKey:
-    if set(labels) != set(labelnames):
-        raise ObservabilityError(
-            f"labels {sorted(labels)} do not match declared {list(labelnames)}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
-
-
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
@@ -101,8 +93,21 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._lock = lock
         self._values: Dict[_LabelKey, Any] = {}
+
+    def _key(self, labels: Mapping[str, Any]) -> _LabelKey:
+        """The series key of ``labels`` (which must name exactly the
+        declared labels)."""
+        if labels.keys() != self._labelset:
+            raise ObservabilityError(
+                f"labels {sorted(labels)} do not match declared {list(self.labelnames)}"
+            )
+        names = self.labelnames
+        if len(names) == 1:  # the common case, without a comprehension
+            return (str(labels[names[0]]),)
+        return tuple([str(labels[name]) for name in names])
 
     def samples(self) -> List[Tuple[Dict[str, str], Any]]:
         """Every (labels, value) series this instrument holds."""
@@ -132,21 +137,19 @@ class Counter(_Instrument):
             raise ObservabilityError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def set_total(self, value: float, **labels: Any) -> None:
-        """Overwrite the series total — for collectors mirroring an
-        external monotonic source (e.g. the simulation cache's ints),
-        never for regular accounting."""
-        key = _label_key(self.labelnames, labels)
+    def clear(self) -> None:
+        """Zero every series but keep it: a series declared at zero
+        (``inc(0, ...)``) stays in the exposition across a reset."""
         with self._lock:
-            self._values[key] = float(value)
+            self._values = dict.fromkeys(self._values, 0.0)
 
     def value(self, **labels: Any) -> float:
         """Current total of the labeled series (0.0 when unseen)."""
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             return float(self._values.get(key, 0.0))
 
@@ -157,12 +160,12 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -170,7 +173,7 @@ class Gauge(_Instrument):
         self.inc(-amount, **labels)
 
     def value(self, **labels: Any) -> float:
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             return float(self._values.get(key, 0.0))
 
@@ -202,7 +205,7 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation into the labeled series."""
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         value = float(value)
         with self._lock:
             series = self._values.get(key)
@@ -225,7 +228,7 @@ class Histogram(_Instrument):
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile out of [0,1]: {q}")
-        key = _label_key(self.labelnames, labels)
+        key = self._key(labels)
         with self._lock:
             series = self._values.get(key)
             if series is None or series["count"] == 0:
@@ -298,10 +301,12 @@ class MetricsRegistry:
                            fn: Callable[["MetricsRegistry"], None]) -> None:
         """(Re-)register a callback run before every snapshot/exposition.
 
-        Collectors mirror external counter sources (the simulation
-        cache, a solver pool) into registry instruments; re-registering
-        the same ``key`` replaces the callback, keeping registration
-        idempotent.
+        Collectors set *gauges* that read live state (cache sizes and
+        capacities, ring occupancy, SLO state and burn, queue depths,
+        shard health).  They never write a counter: counters are counted
+        where their events happen, so a merged worker delta is never
+        overwritten by a scrape.  Re-registering the same ``key``
+        replaces the callback, keeping registration idempotent.
         """
         with self._lock:
             self._collectors[key] = fn
@@ -325,7 +330,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able copy of every instrument's series (collectors
-        run first, so mirrored counters are current)."""
+        run first, so the live gauges are current)."""
         self.collect()
         out: Dict[str, Any] = {}
         with self._lock:
@@ -394,7 +399,7 @@ class MetricsRegistry:
                     )
                 for sample in entry["values"]:
                     value = sample["value"]
-                    key = _label_key(metric.labelnames, sample["labels"])
+                    key = metric._key(sample["labels"])
                     with metric._lock:
                         series = metric._values.get(key)
                         if series is None:
@@ -409,7 +414,8 @@ class MetricsRegistry:
                 )
 
     def reset(self) -> None:
-        """Zero every instrument (registrations and collectors stay)."""
+        """Zero every instrument (registrations and collectors stay;
+        counter series stay at zero, other series are dropped)."""
         with self._lock:
             metrics = list(self._metrics.values())
         for metric in metrics:
@@ -469,14 +475,6 @@ class MetricsRegistry:
                     "p99": metric.quantile(0.99, **sample["labels"]),
                 }
         return snap
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._metrics
-
-    def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._metrics))
 
 
 def snapshot_delta(before: Mapping[str, Any],
@@ -586,8 +584,3 @@ def use_registry(registry: Optional[MetricsRegistry]) -> Iterator[None]:
         yield
     finally:
         _ACTIVE_REGISTRY.reset(token)
-
-
-def metrics_to_json_str(registry: MetricsRegistry) -> str:
-    """Convenience: the JSON exposition as a string."""
-    return json.dumps(registry.to_json(), indent=2, sort_keys=True)

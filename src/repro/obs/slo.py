@@ -29,9 +29,10 @@ at the window boundary, clamped against counter resets exactly like
 :func:`repro.obs.metrics.snapshot_delta`.
 
 State transitions are fired to registered callbacks (the server hooks
-``page`` entries to auto-write a flight-recorder debug bundle) and the
-whole report is mirrored as ``cast_slo_*`` metrics so the dashboard and
-any Prometheus scrape see burn rates and states as plain gauges.
+``page`` entries to auto-write a flight-recorder debug bundle) and
+counted in ``cast_slo_transitions_total``; the last report is published
+as ``cast_slo_*`` gauges so the dashboard and any Prometheus scrape see
+burn rates and states.
 
 Fleet story: each shard evaluates its own engine; the router's ``slo``
 op scrapes every healthy shard's report and :func:`rollup_reports`
@@ -297,7 +298,8 @@ class SLOEngine:
     """Evaluate objectives against a stream of registry snapshots.
 
     Thread-safety: the engine is driven from one place (the server's
-    event loop or a single test); it holds no locks of its own.
+    event loop or a single test); it holds no locks of its own.  State
+    edges count into ``registry`` (a private one when omitted).
     """
 
     def __init__(
@@ -307,6 +309,7 @@ class SLOEngine:
         policy: Optional[BurnPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         max_history: int = 4096,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.objectives: Tuple[Objective, ...] = tuple(
             objectives if objectives is not None else default_objectives()
@@ -319,10 +322,16 @@ class SLOEngine:
         ops = sorted({obj.name for obj in self.objectives})
         self._states: Dict[str, str] = {op: "ok" for op in ops}
         self._since: Dict[str, float] = {}
-        self._transition_counts: Dict[Tuple[str, str], int] = {}
         self._transition_log: Deque[Transition] = deque(maxlen=64)
         self._callbacks: List[Callable[[Transition], None]] = []
         self._last_report: Optional[Dict[str, Any]] = None
+        registry = registry if registry is not None else MetricsRegistry()
+        self._transitions = registry.counter(
+            "cast_slo_transitions_total",
+            "SLO state-machine edges by op and destination state",
+            labelnames=("op", "to"),
+        )
+        registry.register_collector("slo", self._collect)
 
     # -- wiring --------------------------------------------------------------
 
@@ -330,49 +339,37 @@ class SLOEngine:
         """Register a callback fired synchronously on every state edge."""
         self._callbacks.append(fn)
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Mirror the last report as ``cast_slo_*`` gauges/counters.
+    def _collect(self, reg: MetricsRegistry) -> None:
+        """Publish the last report as ``cast_slo_*`` gauges.
 
-        Collector-based (like the cache/pool mirrors): publishing
-        happens at exposition time from the most recent evaluation —
-        the collector never evaluates, so a registry snapshot cannot
-        recurse into the engine that is snapshotting it.
+        Runs at exposition time from the most recent evaluation and
+        never evaluates, so a registry snapshot cannot recurse into the
+        engine that is snapshotting it.
         """
-
-        def mirror(reg: MetricsRegistry) -> None:
-            state_gauge = reg.gauge(
-                "cast_slo_state",
-                "SLO state per op (0 ok, 1 warning, 2 page)",
-                labelnames=("op",),
-            )
-            burn_gauge = reg.gauge(
-                "cast_slo_burn_rate",
-                "Error-budget burn rate per op and window "
-                "(1.0 = exactly sustainable)",
-                labelnames=("op", "window"),
-            )
-            budget_gauge = reg.gauge(
-                "cast_slo_error_budget_remaining",
-                "Fraction of the error budget left over the slow-long window",
-                labelnames=("op",),
-            )
-            transitions = reg.counter(
-                "cast_slo_transitions_total",
-                "SLO state-machine edges by op and destination state",
-                labelnames=("op", "to"),
-            )
-            report = self._last_report
-            if report is None:
-                return
-            for op, entry in report["ops"].items():
-                state_gauge.set(_STATE_RANK[entry["state"]], op=op)
-                for window, burn in entry["burn"].items():
-                    burn_gauge.set(burn, op=op, window=window)
-                budget_gauge.set(entry["budget_remaining"], op=op)
-            for (op, to), n in self._transition_counts.items():
-                transitions.set_total(n, op=op, to=to)
-
-        registry.register_collector("slo", mirror)
+        state_gauge = reg.gauge(
+            "cast_slo_state",
+            "SLO state per op (0 ok, 1 warning, 2 page)",
+            labelnames=("op",),
+        )
+        burn_gauge = reg.gauge(
+            "cast_slo_burn_rate",
+            "Error-budget burn rate per op and window "
+            "(1.0 = exactly sustainable)",
+            labelnames=("op", "window"),
+        )
+        budget_gauge = reg.gauge(
+            "cast_slo_error_budget_remaining",
+            "Fraction of the error budget left over the slow-long window",
+            labelnames=("op",),
+        )
+        report = self._last_report
+        if report is None:
+            return
+        for op, entry in report["ops"].items():
+            state_gauge.set(_STATE_RANK[entry["state"]], op=op)
+            for window, burn in entry["burn"].items():
+                burn_gauge.set(burn, op=op, window=window)
+            budget_gauge.set(entry["budget_remaining"], op=op)
 
     # -- observation ---------------------------------------------------------
 
@@ -529,10 +526,7 @@ class SLOEngine:
                 transitions.append(edge)
                 self._states[op] = state
                 self._since[op] = t
-                key = (op, state)
-                self._transition_counts[key] = (
-                    self._transition_counts.get(key, 0) + 1
-                )
+                self._transitions.inc(op=op, to=state)
                 self._transition_log.append(edge)
             op_reports[op] = {
                 "state": state,

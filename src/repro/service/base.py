@@ -110,7 +110,6 @@ class OpServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.cache = PlanCache(capacity=cache_size)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.StreamWriter] = set()
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -145,16 +144,17 @@ class OpServer:
             "Wire-level requests by op and outcome",
             labelnames=("op", "outcome"),
         )
-        self.cache.bind_metrics(self.metrics)
+        self.cache = PlanCache(capacity=cache_size, registry=self.metrics)
 
         self.recorder = FlightRecorder(
-            capacity=flight_capacity, exemplars=flight_exemplars
+            capacity=flight_capacity, exemplars=flight_exemplars,
+            registry=self.metrics,
         )
-        self.recorder.bind_metrics(self.metrics)
         self.dump_dir = dump_dir
         self.slo_eval_interval_s = float(slo_eval_interval_s)
-        self.slo = SLOEngine(slo_objectives, policy=slo_policy, clock=slo_clock)
-        self.slo.bind_metrics(self.metrics)
+        self.slo = SLOEngine(
+            slo_objectives, policy=slo_policy, clock=slo_clock, registry=self.metrics
+        )
         self.slo.on_transition(self._on_slo_transition)
         self._started_at = time.monotonic()
 

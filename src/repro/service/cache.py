@@ -4,8 +4,9 @@ Solved plans are pure functions of their request fingerprint (the
 solver is deterministic per seed), so caching them is semantically
 free: a hit returns byte-identical results to a re-solve.  The cache
 is a plain ``OrderedDict`` LRU — the server is single-threaded
-asyncio, so no locking — with hit/miss/eviction counters surfaced
-through the ``stats`` op.
+asyncio, so no locking — counting hits, misses and evictions as
+``cast_plan_cache_events_total{event=...}`` in its metrics registry;
+the ``stats`` op reads them back.
 """
 
 from __future__ import annotations
@@ -14,30 +15,40 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from ..errors import ServiceError
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["PlanCache"]
 
 
 class PlanCache:
-    """Least-recently-used mapping of fingerprint → solved result dict."""
+    """Least-recently-used mapping of fingerprint → solved result dict,
+    counting into ``registry`` (a private one when omitted)."""
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(
+        self, capacity: int = 128, registry: Optional[MetricsRegistry] = None
+    ) -> None:
         if capacity < 1:
             raise ServiceError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._events = registry.counter(
+            "cast_plan_cache_events_total",
+            "Plan-cache lookups by outcome",
+            labelnames=("event",),
+        )
+        for event in ("hit", "miss", "eviction"):
+            self._events.inc(0, event=event)
+        registry.register_collector("plan_cache", self._collect)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result, refreshed to most-recently-used; ``None`` on miss."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self._events.inc(event="miss")
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self._events.inc(event="hit")
         return entry
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
@@ -47,7 +58,7 @@ class PlanCache:
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self._events.inc(event="eviction")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,34 +75,13 @@ class PlanCache:
         return {
             "capacity": self.capacity,
             "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            "hits": int(self._events.value(event="hit")),
+            "misses": int(self._events.value(event="miss")),
+            "evictions": int(self._events.value(event="eviction")),
         }
 
-    def bind_metrics(self, registry: Any, key: str = "plan_cache") -> None:
-        """Mirror this cache into ``registry`` via a keyed collector.
-
-        The ints above stay the source of truth (the get/put paths are
-        untouched); the collector republishes them as
-        ``cast_plan_cache_events_total{event=...}`` plus size/capacity
-        gauges whenever the registry is snapshotted or exposed.
-        """
-
-        def _mirror(reg: Any) -> None:
-            events = reg.counter(
-                "cast_plan_cache_events_total",
-                "Plan-cache lookups by outcome",
-                labelnames=("event",),
-            )
-            events.set_total(self.hits, event="hit")
-            events.set_total(self.misses, event="miss")
-            events.set_total(self.evictions, event="eviction")
-            reg.gauge(
-                "cast_plan_cache_size", "Entries in the plan cache"
-            ).set(len(self._entries))
-            reg.gauge(
-                "cast_plan_cache_capacity", "Plan cache capacity"
-            ).set(self.capacity)
-
-        registry.register_collector(key, _mirror)
+    def _collect(self, reg: MetricsRegistry) -> None:
+        reg.gauge("cast_plan_cache_size", "Entries in the plan cache").set(
+            len(self._entries)
+        )
+        reg.gauge("cast_plan_cache_capacity", "Plan cache capacity").set(self.capacity)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ServiceError
 from ..obs import metrics as obs_metrics
@@ -113,6 +113,21 @@ def _select_best(results: List[Dict[str, Any]], seeds: List[int]) -> Dict[str, A
     return best
 
 
+def _counters(
+    registry: obs_metrics.MetricsRegistry,
+) -> Tuple[obs_metrics.Counter, obs_metrics.Counter]:
+    """The pool's two counters in ``registry``, declared with their series at zero."""
+    tasks = registry.counter(
+        "cast_pool_tasks_total", "Restart tasks by lifecycle stage",
+        labelnames=("stage",),
+    )
+    solves = registry.counter("cast_pool_solves_total", "Multi-start solves completed")
+    tasks.inc(0, stage="started")
+    tasks.inc(0, stage="completed")
+    solves.inc(0)
+    return tasks, solves
+
+
 class SolverPool(WorkerPool):
     """Parallel multi-start solves over a process (or thread) worker pool.
 
@@ -134,33 +149,22 @@ class SolverPool(WorkerPool):
         self.restarts = int(restarts)
         workers = max(1, min(self.restarts, os.cpu_count() or 1))
         super().__init__(workers if processes is None else processes, threads=workers)
-        self.solves_completed = 0
+        self._task_counts, self._solves = _counters(obs_metrics.MetricsRegistry())
 
-    def bind_metrics(
-        self, registry: obs_metrics.MetricsRegistry, key: str = "solver_pool"
-    ) -> None:
-        """Roll this pool's activity up into ``registry``.
+    def bind_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
+        """Count into ``registry`` from now on (bind once).
 
-        Two effects: a keyed collector mirrors the pool's own plain-int
-        counters (``cast_pool_tasks_total{stage=...}``,
-        ``cast_pool_solves_total``), and future solves record worker
-        metrics into ``registry`` instead of the ambient one.
+        The pool's counters (``cast_pool_tasks_total{stage=...}``,
+        ``cast_pool_solves_total``) move there with the counts made so
+        far, and future solves record worker metrics into ``registry``
+        instead of the ambient one.
         """
         self.registry = registry
-
-        def _mirror(reg: obs_metrics.MetricsRegistry) -> None:
-            tasks = reg.counter(
-                "cast_pool_tasks_total",
-                "Restart tasks by lifecycle stage",
-                labelnames=("stage",),
-            )
-            tasks.set_total(self.tasks_started, stage="started")
-            tasks.set_total(self.tasks_completed, stage="completed")
-            reg.counter(
-                "cast_pool_solves_total", "Multi-start solves completed"
-            ).set_total(self.solves_completed)
-
-        registry.register_collector(key, _mirror)
+        old = (self._task_counts, self._solves)
+        self._task_counts, self._solves = _counters(registry)
+        for before, after in zip(old, (self._task_counts, self._solves)):
+            for labels, value in before.samples():
+                after.inc(value, **labels)
 
     #: The server's name for :meth:`~repro.workers.WorkerPool.close`.
     shutdown = WorkerPool.close
@@ -183,10 +187,12 @@ class SolverPool(WorkerPool):
                 raise ServiceError(f"restarts must be >= 1, got {n}")
             sp.attrs["restarts"] = n
             seeds = restart_seeds(int(request.get("seed", 42)), n)
+            self._task_counts.inc(n, stage="started")
             results = await self.map_async(
                 solve_restart, [dict(request, seed=s) for s in seeds]
             )
-            self.solves_completed += 1
+            self._task_counts.inc(len(results), stage="completed")
+            self._solves.inc()
             return _select_best(results, seeds)
 
     def stats(self) -> Dict[str, int]:
@@ -194,7 +200,7 @@ class SolverPool(WorkerPool):
         return {
             "processes": self.processes,
             "default_restarts": self.restarts,
-            "tasks_started": self.tasks_started,
-            "tasks_completed": self.tasks_completed,
-            "solves_completed": self.solves_completed,
+            "tasks_started": int(self._task_counts.value(stage="started")),
+            "tasks_completed": int(self._task_counts.value(stage="completed")),
+            "solves_completed": int(self._solves.value()),
         }

@@ -266,12 +266,9 @@ class PlannerServer(OpServer):
         self._reset_stats()
 
     def _reset_stats(self) -> None:
-        """Zero the uptime clock and every service counter.
-
-        Registry reset clears the service-owned series; the mirrored
-        caches/pool keep their own ints and simply re-publish on the
-        next exposition.
-        """
+        """Zero the uptime clock and every counter: the registry owns
+        them all (service, plan cache, pool, flight recorder, SLO,
+        simulator and worker deltas), so one reset zeroes them."""
         super()._reset_stats()
         self.metrics.reset()
 

@@ -55,6 +55,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
+from ..obs.metrics import get_registry
 from ..workloads.spec import JobSpec
 from .metrics import JobSimResult
 
@@ -66,6 +67,7 @@ __all__ = [
     "SimulationCache",
     "simulation_cache",
     "cache_enabled",
+    "record_events",
     "register_metrics",
 ]
 
@@ -248,14 +250,18 @@ class SimulationCache:
         self.hits += 1
         return entry
 
-    def put(self, key: SimKey, result: JobSimResult) -> None:
-        """Insert a result, evicting the LRU entry when full."""
+    def put(self, key: SimKey, result: JobSimResult) -> int:
+        """Insert a result, evicting LRU entries when full; returns the
+        number evicted."""
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = result
+        evicted = 0
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def clear(self) -> None:
         """Drop all entries (counters keep accumulating)."""
@@ -279,28 +285,33 @@ def simulation_cache() -> SimulationCache:
     return _GLOBAL_CACHE
 
 
-def register_metrics(registry: Any, key: str = "sim_cache") -> None:
-    """Mirror the global simulation cache into a metrics registry.
+def _events(registry: Any) -> Any:
+    return registry.counter(
+        "cast_sim_cache_events_total",
+        "Simulation-cache lookups by outcome",
+        labelnames=("event",),
+    )
 
-    Registers a keyed collector (idempotent — re-registration replaces)
-    that publishes the cache's plain-``int`` counters as
-    ``cast_sim_cache_events_total{event=...}`` plus a size gauge on
-    every snapshot/exposition.  The hot lookup path keeps its raw ints;
-    mirroring costs nothing until somebody actually reads metrics.
-    """
 
-    def _mirror(reg: Any) -> None:
-        cache = _GLOBAL_CACHE
-        events = reg.counter(
-            "cast_sim_cache_events_total",
-            "Simulation-cache lookups by outcome",
-            labelnames=("event",),
-        )
-        events.set_total(cache.hits, event="hit")
-        events.set_total(cache.misses, event="miss")
-        events.set_total(cache.evictions, event="eviction")
-        reg.gauge(
+def record_events(hits: int = 0, misses: int = 0, evictions: int = 0) -> None:
+    """Add one batch's (or one ``simulate_job``'s) lookups to the
+    ambient metrics registry; the cache's own ints count the process."""
+    events = _events(get_registry())
+    for event, n in (("hit", hits), ("miss", misses), ("eviction", evictions)):
+        if n:
+            events.inc(n, event=event)
+
+
+def register_metrics(registry: Any) -> None:
+    """Declare ``cast_sim_cache_events_total{event=...}`` in
+    ``registry`` at zero (events arrive via :func:`record_events`) and
+    collect the ``cast_sim_cache_size`` gauge (idempotent)."""
+    events = _events(registry)
+    for event in ("hit", "miss", "eviction"):
+        events.inc(0, event=event)
+    registry.register_collector(
+        "sim_cache",
+        lambda reg: reg.gauge(
             "cast_sim_cache_size", "Entries in the simulation cache"
-        ).set(len(cache))
-
-    registry.register_collector(key, _mirror)
+        ).set(len(_GLOBAL_CACHE)),
+    )

@@ -45,6 +45,7 @@ from .cache import (
     SimKey,
     cache_enabled,
     job_sim_fingerprint,
+    record_events,
     sim_key_context,
     simulation_cache,
 )
@@ -58,7 +59,7 @@ from .vectorized import (
     fallback_reason,
     wave_model_inputs,
 )
-from .vectorized import _stats as _fastpath_stats
+from .vectorized import _STATS as _FASTPATH_STATS
 
 __all__ = [
     "intermediate_tier_for",
@@ -261,12 +262,13 @@ def simulate_job(
     cache = simulation_cache()
     hit = cache.get(key)
     if hit is not None:
+        record_events(hits=1)
         return hit.for_job(job.job_id)
     result = _simulate_job_instrumented(
         job, input_tier, cluster_spec, provider, caps, placement,
         out_tier, stage_in, stage_out,
     )
-    cache.put(key, result)
+    record_events(misses=1, evictions=cache.put(key, result))
     return result
 
 
@@ -478,7 +480,6 @@ def simulate_batch(
     use_cache = cache_enabled()
     cache = simulation_cache() if use_cache else None
     context = sim_key_context(cluster_spec, provider) if use_cache else None
-    stats = _fastpath_stats()
 
     results: List[Optional[JobSimResult]] = [None] * len(items)
     # (index, job, input_tier, out_tier, wave inputs, analytic cache key)
@@ -487,7 +488,8 @@ def simulate_batch(
     fallback: List[Tuple[int, JobSpec, Tier, Dict[Tier, float], Optional[BlockPlacement]]] = []
     first_for_key: Dict[SimKey, int] = {}
     dup_of: Dict[int, int] = {}
-    n_cache_hits = 0
+    reasons: Dict[str, int] = {}
+    n_lookups = n_cache_hits = n_evictions = 0
 
     for i, (job, tier, caps_in) in enumerate(items):
         caps, placement, out_tier = resolve_sim_inputs(
@@ -504,6 +506,7 @@ def simulate_batch(
                 context=context,
             )
             hit = cache.get(key)
+            n_lookups += 1
             if hit is not None:
                 results[i] = hit.for_job(job.job_id)
                 n_cache_hits += 1
@@ -522,6 +525,7 @@ def simulate_batch(
             akey = None if key is None else ANALYTIC_KEY_PREFIX + key
             if akey is not None:
                 ahit = cache.get(akey)
+                n_lookups += 1
                 if ahit is not None:
                     results[i] = ahit.for_job(job.job_id)
                     n_cache_hits += 1
@@ -532,7 +536,7 @@ def simulate_batch(
             )
             analytic.append((i, job, tier, out_tier, wave, akey))
         else:
-            stats.note_fallback(reason)
+            reasons[reason] = reasons.get(reason, 0) + 1
             fallback.append((i, job, tier, caps, placement))
 
     with _span(
@@ -559,8 +563,7 @@ def simulate_batch(
                 )
                 results[i] = res
                 if akey is not None and cache is not None:
-                    cache.put(akey, res)
-            stats.analytic += len(analytic)
+                    n_evictions += cache.put(akey, res)
         for i, job, tier, caps, placement in fallback:
             results[i] = simulate_job(
                 job, tier, cluster_spec, provider,
@@ -575,9 +578,8 @@ def simulate_batch(
         assert src is not None
         results[i] = src.for_job(items[i][0].job_id)
 
-    stats.cache_hits += n_cache_hits
-    stats.deduped += len(dup_of)
-    stats.batches += 1
+    record_events(n_cache_hits, n_lookups - n_cache_hits, n_evictions)
+    _FASTPATH_STATS.add_batch(len(analytic), n_cache_hits, len(dup_of), reasons)
     out = [res for res in results if res is not None]
     assert len(out) == len(items)
     return out

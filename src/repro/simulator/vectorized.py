@@ -47,13 +47,14 @@ bit-identical to serial event-engine runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
+from ..obs.metrics import get_registry
 from ..units import gb_to_mb
 from ..workloads.spec import JobSpec
 from .cluster import channel_bandwidth_mb_s
@@ -315,7 +316,8 @@ def evaluate_wave_model(batch: Sequence[WaveModelInputs]) -> np.ndarray:
 
 
 class _FastPathStats:
-    """Plain-int counters for batch routing decisions (obs-mirrored)."""
+    """Process-local tallies of batch routing decisions; each batch
+    also counts into the ambient metrics registry (:meth:`add_batch`)."""
 
     __slots__ = ("analytic", "fallback", "cache_hits", "deduped", "batches",
                  "fallback_reasons")
@@ -328,9 +330,25 @@ class _FastPathStats:
         self.batches = 0
         self.fallback_reasons: Dict[str, int] = {}
 
-    def note_fallback(self, reason: str) -> None:
-        self.fallback += 1
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
+    def add_batch(self, analytic: int, cache_hits: int, deduped: int,
+                  reasons: Mapping[str, int]) -> None:
+        """Count one ``simulate_batch`` call (``reasons``: fallbacks by reason)."""
+        fallback = sum(reasons.values())
+        self.analytic += analytic
+        self.fallback += fallback
+        self.cache_hits += cache_hits
+        self.deduped += deduped
+        self.batches += 1
+        for reason, n in reasons.items():
+            self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + n
+        paths, batches, by_reason = _counters(get_registry())
+        for path, n in (("analytic", analytic), ("fallback", fallback),
+                        ("cache_hit", cache_hits), ("deduped", deduped)):
+            if n:
+                paths.inc(n, path=path)
+        batches.inc()
+        for reason, n in reasons.items():
+            by_reason.inc(n, reason=reason)
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -346,11 +364,6 @@ class _FastPathStats:
 _STATS = _FastPathStats()
 
 
-def _stats() -> _FastPathStats:
-    """The process-wide fast-path counters (internal)."""
-    return _STATS
-
-
 def fastpath_stats() -> Dict[str, Any]:
     """Snapshot of the batch fast-path routing counters."""
     return _STATS.snapshot()
@@ -363,39 +376,31 @@ def reset_fastpath_stats() -> None:
     s.fallback_reasons.clear()
 
 
-def register_fastpath_metrics(registry: Any, key: str = "sim_fastpath") -> None:
-    """Mirror fast-path counters into a metrics registry.
+def _counters(registry: Any) -> Tuple[Any, Any, Any]:
+    paths = registry.counter(
+        "cast_sim_fastpath_total",
+        "Batch simulation requests by routing outcome",
+        labelnames=("path",),
+    )
+    batches = registry.counter(
+        "cast_sim_fastpath_batches_total", "simulate_batch invocations"
+    )
+    reasons = registry.counter(
+        "cast_sim_fastpath_fallbacks_total",
+        "Event-engine fallbacks by reason",
+        labelnames=("reason",),
+    )
+    return paths, batches, reasons
 
-    Same keyed-collector pattern as the simulation cache: publishes
-    ``cast_sim_fastpath_total{path=analytic|fallback|cache_hit|deduped}``,
-    ``cast_sim_fastpath_batches_total`` and per-reason
-    ``cast_sim_fastpath_fallbacks_total{reason=...}`` on every scrape,
-    keeping the dispatch path itself uninstrumented.
-    """
 
-    def _mirror(reg: Any) -> None:
-        s = _STATS
-        paths = reg.counter(
-            "cast_sim_fastpath_total",
-            "Batch simulation requests by routing outcome",
-            labelnames=("path",),
-        )
-        paths.set_total(s.analytic, path="analytic")
-        paths.set_total(s.fallback, path="fallback")
-        paths.set_total(s.cache_hits, path="cache_hit")
-        paths.set_total(s.deduped, path="deduped")
-        reg.counter(
-            "cast_sim_fastpath_batches_total", "simulate_batch invocations"
-        ).set_total(s.batches)
-        reasons = reg.counter(
-            "cast_sim_fastpath_fallbacks_total",
-            "Event-engine fallbacks by reason",
-            labelnames=("reason",),
-        )
-        for reason, count in sorted(s.fallback_reasons.items()):
-            reasons.set_total(count, reason=reason)
-
-    registry.register_collector(key, _mirror)
+def register_fastpath_metrics(registry: Any) -> None:
+    """Declare ``cast_sim_fastpath_total{path=...}`` and
+    ``cast_sim_fastpath_batches_total`` in ``registry`` at zero (the
+    counts arrive per batch, in the ambient registry)."""
+    paths, batches, _ = _counters(registry)
+    for path in ("analytic", "fallback", "cache_hit", "deduped"):
+        paths.inc(0, path=path)
+    batches.inc(0)
 
 
 def batch_results_match(

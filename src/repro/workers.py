@@ -76,16 +76,12 @@ def run_task(task: Task) -> Tuple[Any, Optional[Dict[str, Any]]]:
         if registry is not None:
             with obs_metrics.use_registry(registry):
                 return fn(payload), None
-        from .simulator.cache import register_metrics as _register_sim_cache
-
         # A task-local registry: a forked worker may inherit the parent's
         # ambient registry, whose every series would be snapshotted twice.
         reg = obs_metrics.MetricsRegistry()
-        _register_sim_cache(reg)
-        before = reg.snapshot()
         with obs_metrics.use_registry(reg), obs_tracing.capture_spans() as spans:
             result = fn(payload)
-        delta = obs_metrics.snapshot_delta(before, reg.snapshot())
+        delta = obs_metrics.snapshot_delta({}, reg.snapshot())
         return result, {"metrics": delta, "spans": [s.to_dict() for s in spans]}
 
 
@@ -109,8 +105,6 @@ class WorkerPool:
         self.threads = max(1, int(threads))
         self.registry: Optional[obs_metrics.MetricsRegistry] = None
         self._executor: Optional[Executor] = None
-        self.tasks_started = 0
-        self.tasks_completed = 0
 
     @property
     def executor(self) -> Executor:
@@ -143,7 +137,6 @@ class WorkerPool:
             # Executor threads don't inherit contextvars: hand the
             # registry over explicitly.
             registry = self.registry or obs_metrics.get_registry()
-        self.tasks_started += len(payloads)
         return [(fn, p, context, registry) for p in payloads]
 
     def _absorb(
@@ -157,7 +150,6 @@ class WorkerPool:
                     (self.registry or obs_metrics.get_registry()).merge(obs["metrics"])
                 obs_tracing.ingest(obs["spans"])
             results.append(result)
-        self.tasks_completed += len(results)
         return results
 
     def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:

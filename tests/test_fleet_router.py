@@ -331,7 +331,7 @@ class TestAdmission:
                     with pytest.raises(ServiceBusyError, match="hog"):
                         await c2.plan(spec, iterations=30, seed=2, tenant="hog")
                     assert (await first)["kind"] == "plan"
-                    assert fleet.router.scheduler.shed == 1
+                    assert fleet.router.scheduler.stats()["shed"] == 1
 
         run(scenario())
 

@@ -52,7 +52,7 @@ class TestAdmission:
             await asyncio.sleep(0)  # fills hog's 1-deep queue
             with pytest.raises(ServiceBusyError, match="hog"):
                 await sched.acquire("hog")
-            assert sched.shed == 1
+            assert sched.stats()["shed"] == 1
             # Another tenant's queue is unaffected by hog's cap.
             other = asyncio.create_task(sched.acquire("calm"))
             await asyncio.sleep(0)
@@ -169,8 +169,9 @@ class TestIntrospection:
     def test_bind_metrics_mirrors_depths(self):
         async def scenario():
             registry = MetricsRegistry()
-            sched = WeightedFairScheduler(max_inflight=1, max_queue_per_tenant=0)
-            sched.bind_metrics(registry)
+            sched = WeightedFairScheduler(
+                max_inflight=1, max_queue_per_tenant=0, registry=registry
+            )
             await sched.acquire("a")
             with pytest.raises(ServiceBusyError):
                 await sched.acquire("a")

@@ -34,7 +34,7 @@ class TestRing:
         rec = FlightRecorder(capacity=4)
         fill(rec, [0.1] * 10)
         assert len(rec) == 4
-        assert rec.recorded == 10
+        assert rec.stats()["recorded"] == 10
         # Oldest-first, and only the newest four survive.
         assert [r.trace_id for r in rec.records()] == ["t6", "t7", "t8", "t9"]
         assert rec.stats() == {
@@ -100,8 +100,7 @@ class TestExemplars:
 
     def test_bind_metrics_mirrors_ring_state(self):
         reg = MetricsRegistry()
-        rec = FlightRecorder(capacity=2)
-        rec.bind_metrics(reg)
+        rec = FlightRecorder(capacity=2, registry=reg)
         fill(rec, [0.1] * 3)
         snap = reg.snapshot()
         assert snap["cast_flightrec_records_total"]["values"][0]["value"] == 3

@@ -249,6 +249,75 @@ class TestProcessPoolRollUp:
         assert solves.value(backend="anneal") == 2.0
         assert "cast_pool_solves_total 1" in reg.to_prometheus()
 
+    def test_counts_made_before_the_bind_carry_over(self):
+        pool = SolverPool(processes=0, restarts=2)
+        reg = MetricsRegistry()
+        try:
+            pool.solve_sync(plan_request(seed=6, iterations=20))
+            pool.bind_metrics(reg)
+            pool.solve_sync(plan_request(seed=7, iterations=20))
+        finally:
+            pool.shutdown()
+        stats = pool.stats()
+        assert (stats["tasks_started"], stats["solves_completed"]) == (4, 2)
+        body = reg.to_prometheus()
+        assert "cast_pool_solves_total 2" in body
+        assert 'cast_pool_tasks_total{stage="completed"} 4' in body
+
+
+def sim_lookups(metrics):
+    """Simulation-cache hits plus misses in a metrics snapshot."""
+    entry = metrics.get("cast_sim_cache_events_total", {"values": []})
+    return sum(
+        s["value"] for s in entry["values"] if s["labels"]["event"] in ("hit", "miss")
+    )
+
+
+class TestWorkerDeltasSurviveScrape:
+    """A process worker's shipped counter delta stays in the server's
+    registry: scrapes never overwrite it with the parent's own tally."""
+
+    def test_sim_cache_counts_parent_plus_worker_deltas(self, monkeypatch):
+        from repro.profiler import profiler as profiler_mod
+        from repro.simulator import cache as sim_cache_mod
+        from repro.workers import WorkerPool
+
+        # Fresh process-wide state, inherited by the forked workers: they
+        # profile the catalog themselves, so their sim-cache lookups
+        # come home only as shipped deltas.
+        monkeypatch.setattr(profiler_mod, "_MATRIX_CACHE", {})
+        cache = sim_cache_mod.SimulationCache()
+        monkeypatch.setattr(sim_cache_mod, "_GLOBAL_CACHE", cache)
+        shipped = []
+        absorb = WorkerPool._absorb
+
+        def spy(self, outcomes):
+            for _result, obs in outcomes:
+                if obs is not None:
+                    shipped.append(sim_lookups(obs["metrics"]))
+            return absorb(self, outcomes)
+
+        monkeypatch.setattr(WorkerPool, "_absorb", spy)
+
+        async def scenario():
+            server = PlannerServer(pool=SolverPool(processes=2, restarts=2))
+            await server.start()
+            try:
+                async with PlannerClient(*server.address) as client:
+                    await client.plan(small_spec(), n_vms=6, iterations=30, seed=3)
+                    await client.whatif(small_spec(), tier="persSSD", n_vms=6)
+                    first = await client.metrics(format="json")
+                    second = await client.metrics(format="json")
+                    return first, second
+            finally:
+                await server.stop()
+
+        first, second = run(scenario())
+        parent = cache.hits + cache.misses
+        assert sum(shipped) > 0 and parent > 0
+        assert sim_lookups(first["metrics"]) == parent + sum(shipped)
+        assert sim_lookups(second["metrics"]) == sim_lookups(first["metrics"])
+
 
 class TestSolverProgress:
     def test_anneal_progress_sampling(self):

@@ -239,6 +239,17 @@ class TestSnapshotMerge:
         assert c.value() == 0.0
         assert "mirrored" in reg.to_prometheus()  # collector still runs
 
+    def test_reset_keeps_counter_series_at_zero(self):
+        reg = MetricsRegistry()
+        reg.counter("events_total", labelnames=("event",)).inc(0, event="eviction")
+        reg.counter("events_total", labelnames=("event",)).inc(3, event="hit")
+        reg.histogram("h").observe(0.5)
+        reg.reset()
+        body = reg.to_prometheus()
+        assert 'events_total{event="eviction"} 0' in body
+        assert 'events_total{event="hit"} 0' in body
+        assert reg.get("h").samples() == []
+
 
 def _worker_task(n: int) -> dict:
     """Simulate a pool worker: record into the process-global registry

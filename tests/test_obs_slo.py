@@ -254,8 +254,7 @@ class TestStateMachine:
 class TestMetricsMirror:
     def test_report_mirrored_as_cast_slo_series(self):
         reg = MetricsRegistry()
-        engine = SLOEngine([AVAIL], policy=POLICY)
-        engine.bind_metrics(reg)
+        engine = SLOEngine([AVAIL], policy=POLICY, registry=reg)
         engine.observe(requests_snapshot(0, 0), t=0.0)
         engine.observe(requests_snapshot(0, 100), t=61.0)
         engine.evaluate(t=61.0)
@@ -279,7 +278,7 @@ class TestMetricsMirror:
 
     def test_mirror_is_inert_before_first_evaluation(self):
         reg = MetricsRegistry()
-        SLOEngine([AVAIL], policy=POLICY).bind_metrics(reg)
+        SLOEngine([AVAIL], policy=POLICY, registry=reg)
         snap = reg.snapshot()
         assert snap.get("cast_slo_state", {}).get("values", []) == []
 

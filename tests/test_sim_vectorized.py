@@ -8,7 +8,7 @@ from repro.cloud.provider import google_cloud_2015
 from repro.cloud.storage import Tier
 from repro.cloud.vm import ClusterSpec
 from repro.experiments.runner import ExperimentRunner
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulator import (
     ANALYTIC_RTOL,
     batch_results_match,
@@ -238,8 +238,9 @@ class TestFastpathMetrics:
         cluster = ClusterSpec(n_vms=4)
         job = JobSpec(job_id="s", app=SORT, input_gb=12.0)
         reset_fastpath_stats()
-        simulate_batch([(job, Tier.PERS_SSD, None)], cluster, prov,
-                       fast_path=True)
+        with use_registry(reg):
+            simulate_batch([(job, Tier.PERS_SSD, None)], cluster, prov,
+                           fast_path=True)
         body = reg.to_prometheus()
         assert 'cast_sim_fastpath_total{path="analytic"} 1' in body
         assert "cast_sim_fastpath_batches_total 1" in body
