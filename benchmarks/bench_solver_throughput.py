@@ -177,7 +177,7 @@ def bench_one(
         cluster_spec=cluster, matrix=matrix, provider=provider,
         schedule=schedule, seed=SOLVER_SEED,
     )
-    greedy._SOLO_CACHE.clear()
+    greedy.solo_memo(matrix).clear()
     t0 = time.perf_counter()
     initial = solver.initial_plan(workload)
     t1 = time.perf_counter()

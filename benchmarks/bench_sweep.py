@@ -48,7 +48,7 @@ import numpy as np
 
 from conftest import write_bench_report
 from repro import plan_workload
-from repro.cloud import ClusterSpec, resolve_provider
+from repro.cloud import resolve_provider
 from repro.core.utility import evaluate_plan
 from repro.profiler import build_model_matrix
 from repro.sweep import SweepConfig, SweepEngine
@@ -91,10 +91,7 @@ def run(quick: bool) -> Dict[str, Any]:
     print(f"profiling {len(PROVIDERS)} catalogs at {n_vms} VMs...")
     for name in PROVIDERS:
         prov = resolve_provider(name)
-        build_model_matrix(
-            provider=prov,
-            cluster_spec=ClusterSpec(n_vms=n_vms, vm=prov.default_vm),
-        )
+        build_model_matrix(provider=prov, cluster_spec=prov.cluster(n_vms))
 
     engine = SweepEngine(
         PROVIDERS,
@@ -122,7 +119,7 @@ def run(quick: bool) -> Dict[str, Any]:
     parity_recheck = True
     for r in sweep.points:
         prov = resolve_provider(r.point.provider)
-        cluster = ClusterSpec(n_vms=r.point.n_vms, vm=prov.default_vm)
+        cluster = prov.cluster(r.point.n_vms)
         matrix = build_model_matrix(provider=prov, cluster_spec=cluster)
         wl = workloads[r.point.workload_idx]
         ref = evaluate_plan(wl, r.plan, cluster, matrix, prov, reuse_aware=True)

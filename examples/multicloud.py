@@ -18,7 +18,6 @@ from collections import Counter
 
 from repro.cloud.aws import aws_2015
 from repro.cloud.provider import google_cloud_2015
-from repro.cloud.vm import ClusterSpec
 from repro.core.annealing import AnnealingSchedule
 from repro.core.castpp import CastPlusPlus
 from repro.profiler.profiler import build_model_matrix
@@ -31,7 +30,7 @@ def main() -> None:
           f"{workload.total_footprint_gb:.0f} GB footprint\n")
 
     for provider in (google_cloud_2015(), aws_2015()):
-        cluster = ClusterSpec(n_vms=10, vm=provider.default_vm)
+        cluster = provider.cluster(10)
         matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
         solver = CastPlusPlus(
             cluster_spec=cluster, matrix=matrix, provider=provider,

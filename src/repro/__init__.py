@@ -33,7 +33,7 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .cloud import ClusterSpec, CloudProvider, Tier, google_cloud_2015
+from .cloud import CloudProvider, Tier, google_cloud_2015
 from .core import (
     AnnealingSchedule,
     CastPlusPlus,
@@ -98,7 +98,7 @@ def plan_workload(
     ``progress_every`` iterations (``cast-plan plan --trace-solver``).
     """
     provider = provider or google_cloud_2015()
-    cluster = ClusterSpec(n_vms=n_vms, vm=provider.default_vm)
+    cluster = provider.cluster(n_vms)
     matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
     solver_cls = CastPlusPlus if use_castpp else CastSolver
     solver = solver_cls(

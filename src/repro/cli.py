@@ -622,7 +622,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .cloud.storage import Tier
-    from .cloud.vm import ClusterSpec
     from .core.plan import TieringPlan
     from .experiments.measure import measure_plan
     from .experiments.runner import ExperimentRunner
@@ -635,7 +634,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     prov = _resolve_provider(args.provider)
-    cluster = ClusterSpec(n_vms=args.vms)
+    cluster = prov.cluster(args.vms)
     if args.plan_file:
         plan = TieringPlan.from_dict(json.loads(Path(args.plan_file).read_text()))
     else:

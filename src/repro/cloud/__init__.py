@@ -24,25 +24,27 @@ from .vm import (
 )
 
 #: Provider catalogs addressable by name (CLI ``--provider``, service
-#: requests).  Factories, not instances: providers are cheap to build
-#: and callers may mutate prices in what-if sweeps.
+#: requests).
 PROVIDER_FACTORIES: Dict[str, Callable[[], CloudProvider]] = {
     "google": google_cloud_2015,
     "aws": aws_2015,
     "azure": azure_2015,
 }
 
+_RESOLVED: Dict[str, CloudProvider] = {}
+
 
 def resolve_provider(name: str) -> CloudProvider:
-    """Instantiate the named catalog, raising :class:`CatalogError`
-    (not ``KeyError``) for unknown names."""
-    try:
-        factory = PROVIDER_FACTORIES[name]
-    except KeyError:
-        raise CatalogError(
-            f"unknown provider {name!r}; known: {sorted(PROVIDER_FACTORIES)}"
-        ) from None
-    return factory()
+    """The named catalog, raising :class:`CatalogError` (not
+    ``KeyError``) for unknown names.  Each name is built once per
+    process and every call returns that one immutable instance."""
+    if name not in _RESOLVED:
+        if name not in PROVIDER_FACTORIES:
+            raise CatalogError(
+                f"unknown provider {name!r}; known: {sorted(PROVIDER_FACTORIES)}"
+            )
+        _RESOLVED.setdefault(name, PROVIDER_FACTORIES[name]())
+    return _RESOLVED[name]
 
 
 __all__ = [

@@ -19,6 +19,7 @@ cites; the VM rate is the n1-standard-16 on-demand rate of the period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from ..units import (
@@ -40,11 +41,19 @@ class PriceBook:
     vm_price_per_min:
         On-demand $/minute for the slave VM type (``pricevm`` in Table 3).
     storage_price_gb_hr:
-        $/GB/hour for each storage service (``pricestore``).
+        $/GB/hour for each storage service (``pricestore``), read-only.
     """
 
     vm_price_per_min: float
     storage_price_gb_hr: Mapping[Tier, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        rates = MappingProxyType(dict(self.storage_price_gb_hr))
+        object.__setattr__(self, "storage_price_gb_hr", rates)
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict.
+        return (type(self), (self.vm_price_per_min, dict(self.storage_price_gb_hr)))
 
     def vm_cost(self, n_vms: int, makespan_s: float) -> float:
         """Eq. 5: VM-hours bill for ``n_vms`` over ``makespan_s`` seconds."""

@@ -10,13 +10,17 @@ nothing downstream hard-codes Google numbers.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ..errors import CatalogError
 from .pricing import PriceBook, google_cloud_2015_pricebook
 from .storage import GOOGLE_CLOUD_2015_SERVICES, StorageService, Tier
-from .vm import VMType, N1_STANDARD_16
+from .vm import ClusterSpec, VMType, N1_STANDARD_16
 
 __all__ = ["CloudProvider", "google_cloud_2015"]
 
@@ -25,12 +29,15 @@ __all__ = ["CloudProvider", "google_cloud_2015"]
 class CloudProvider:
     """Everything the planner needs to know about one cloud.
 
+    Immutable: the mappings are read-only, so one instance per catalog
+    is shared process-wide (:func:`repro.cloud.resolve_provider`).
+
     Attributes
     ----------
     name:
         Human-readable provider id.
     services:
-        Storage catalog keyed by :class:`Tier`.
+        Storage catalog keyed by :class:`Tier` (read-only).
     prices:
         :class:`PriceBook` with VM and storage rates.
     default_vm:
@@ -41,6 +48,41 @@ class CloudProvider:
     services: Mapping[Tier, StorageService]
     prices: PriceBook
     default_vm: VMType = N1_STANDARD_16
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "services", MappingProxyType(dict(self.services)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict.
+        return (type(self), (self.name, dict(self.services), self.prices, self.default_vm))
+
+    def __hash__(self) -> int:
+        # Equal providers share a name; the mappings are unhashable.
+        return hash(self.name)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the catalog fields the simulator can observe,
+        computed once per object.
+
+        Prices, IOPS curves and the provider's name are deliberately
+        excluded — neither the simulator nor the profiler reads them,
+        so e.g. a re-priced catalog keeps its cached simulations and
+        its profiled model matrix.
+        """
+        payload = {
+            tier.value: {
+                **{k: v for k, v in vars(svc).items() if k not in ("iops", "price_gb_month")},
+                "throughput": (svc.throughput.points, svc.throughput.cap),
+            }
+            for tier, svc in self.services.items()
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def cluster(self, n_vms: int) -> ClusterSpec:
+        """An ``n_vms``-VM analytics cluster of this cloud's default VM."""
+        return ClusterSpec(n_vms=n_vms, vm=self.default_vm)
 
     def service(self, tier: Tier) -> StorageService:
         """Look up a service; raise :class:`CatalogError` if absent."""
@@ -71,7 +113,7 @@ def google_cloud_2015() -> CloudProvider:
     """The provider instance used throughout the paper (Table 1 verbatim)."""
     return CloudProvider(
         name="google-cloud-2015",
-        services=dict(GOOGLE_CLOUD_2015_SERVICES),
+        services=GOOGLE_CLOUD_2015_SERVICES,
         prices=google_cloud_2015_pricebook(),
         default_vm=N1_STANDARD_16,
     )

@@ -389,13 +389,12 @@ def solve_workflow_request(
     selection can compare restarts uniformly across request kinds.
     """
     from ..cloud import resolve_provider
-    from ..cloud.vm import ClusterSpec
     from ..profiler import build_model_matrix
     from ..workloads.io import workflow_from_dict
 
     wf = workflow_from_dict(dict(workflow))
     prov = resolve_provider(provider)
-    cluster = ClusterSpec(n_vms=int(n_vms), vm=prov.default_vm)
+    cluster = prov.cluster(int(n_vms))
     matrix = build_model_matrix(provider=prov, cluster_spec=cluster)
     solver = CastPlusPlus(
         cluster_spec=cluster,

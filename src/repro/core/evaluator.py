@@ -69,7 +69,6 @@ re-bases onto a plan over the same jobs, ``apply_workload_delta`` and
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -79,7 +78,7 @@ from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..errors import CatalogError, PlanError
-from ..profiler.models import ModelMatrix, quantize_capacity
+from ..profiler.models import ModelMatrix, derived, quantize_capacity
 from ..workloads.spec import WorkloadSpec
 from .cost import CostBreakdown
 from .perf_model import eq1_static_terms
@@ -114,27 +113,16 @@ class _BandwidthIds(dict):
         )
 
 
-#: (id(matrix), tiers) → (weakref(matrix), table), with the identity
-#: guard of :data:`~repro.core.tensor_eval._BW_CACHE`.  A table is
-#: published only once complete and is never mutated afterwards, so
-#: evaluators in concurrent threads read it without a lock; two racing
-#: first builds publish equal tables.
-_BW_IDS: Dict[Tuple[int, Tuple[Tier, ...]], Tuple[Any, _BandwidthIds]] = {}
-_BW_IDS_MAX = 64
-
-
+@derived
 def bandwidth_ids(matrix: ModelMatrix, tiers: Tuple[Tier, ...]) -> _BandwidthIds:
-    """The shared bandwidth-id table of ``matrix`` over ``tiers``.
+    """The shared bandwidth-id table of ``matrix`` over ``tiers``,
+    memoized on ``matrix`` and never mutated once built.
 
     Read from the :func:`~repro.core.tensor_eval.bandwidth_tensor` grid
     of the matrix's apps × the profiled ``tiers`` (a profiled matrix
     covers every such pair), so the table adds only the id tuples: at
     most apps × tiers × grid points per matrix.
     """
-    key = (id(matrix), tiers)
-    hit = _BW_IDS.get(key)
-    if hit is not None and hit[0]() is matrix:
-        return hit[1]
     pairs = matrix.pairs
     apps = tuple(sorted({a for a, _ in pairs}))
     on = tuple(t for t in tiers if any(t is pt for _, pt in pairs))
@@ -151,13 +139,6 @@ def bandwidth_ids(matrix: ModelMatrix, tiers: Tuple[Tier, ...]) -> _BandwidthIds
             row0 = (a * len(on) + t) * bwt.G
             ids = (row0 + first[inverse.ravel()]).tolist()
             table[(app, tier)] = (lo, hi, tuple(ids), rows)
-    try:
-        ref = weakref.ref(matrix)
-    except TypeError:
-        return table
-    if len(_BW_IDS) >= _BW_IDS_MAX:
-        _BW_IDS.clear()
-    _BW_IDS[key] = (ref, table)
     return table
 
 

@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
-from ..profiler.models import ModelMatrix
+from ..profiler.models import ModelMatrix, derived
 from ..workloads.spec import JobSpec, WorkloadSpec
 from .perf_model import estimate_job
 from .plan import Placement, TieringPlan, job_billed_contributions
@@ -29,19 +29,24 @@ from .utility import per_vm_gb, price_plan
 
 __all__ = ["greedy_plan", "greedy_exact_fit", "greedy_over_provisioned"]
 
-#: Memo of Algorithm 1's ``Utility(j, f)``.  The stand-alone score is a
-#: pure function of (job shape, placement, cluster, matrix, provider) —
-#: the job id plays no part — so it is keyed by :func:`_shape`, and the
-#: memo holds shapes × placements rather than every job ever seen.  The
-#: exact-fit / over-provisioned passes share most (shape, tier,
-#: capacity) combinations — every non-scaling tier provisions the
-#: footprint in both modes — so experiments running both baselines
-#: (Table 1, the sim throughput bench) pay for each solo evaluation
-#: once.  Matrix and provider carry unhashable caches, so they key by
-#: identity; the refs dict keeps them alive so ids cannot be recycled.
-_SOLO_CACHE: Dict[Tuple[Any, ...], float] = {}
-_SOLO_CACHE_REFS: Dict[int, object] = {}
+#: Bound on :func:`solo_memo`: wire-submitted shapes are unbounded.
 _SOLO_CACHE_MAX = 65536
+
+
+@derived
+def solo_memo(matrix: ModelMatrix) -> Dict[Tuple[Any, ...], float]:
+    """``matrix``'s memo of Algorithm 1's ``Utility(j, f)``.
+
+    The stand-alone score is a pure function of (job shape, placement,
+    cluster, matrix, provider) — the job id plays no part — so the memo
+    keys by (provider, cluster, :func:`_shape`, placement) and holds
+    shapes × placements rather than every job ever seen.  The exact-fit /
+    over-provisioned passes share most (shape, tier, capacity)
+    combinations — every non-scaling tier provisions the footprint in
+    both modes — so experiments running both baselines (Table 1, the
+    sim throughput bench) pay for each solo evaluation once.
+    """
+    return {}
 
 
 def _shape(job: JobSpec) -> Tuple[Any, ...]:
@@ -69,12 +74,12 @@ def _single_job_utility(
     score is bit-identical.  Callers pass capacities at or above the
     Eq. 3 footprint, so the plan would validate.
     """
-    key = (id(matrix), id(provider), cluster_spec, _shape(job), placement)
-    hit = _SOLO_CACHE.get(key)
+    memo = solo_memo(matrix)
+    key = (provider, cluster_spec, _shape(job), placement)
+    hit = memo.get(key)
     if hit is None:
-        if len(_SOLO_CACHE) >= _SOLO_CACHE_MAX:
-            _SOLO_CACHE.clear()
-            _SOLO_CACHE_REFS.clear()
+        if len(memo) >= _SOLO_CACHE_MAX:
+            memo.clear()
         tier = placement.tier
         pvc = per_vm_gb(
             0.0 + placement.capacity_gb, cluster_spec.n_vms,
@@ -87,9 +92,7 @@ def _single_job_utility(
         for t, gb in job_billed_contributions(job, placement, provider):
             billed[t] = billed.get(t, 0.0) + gb
         hit = price_plan(0.0 + est.total_s, billed, cluster_spec, provider)[1]
-        _SOLO_CACHE[key] = hit
-        _SOLO_CACHE_REFS[id(matrix)] = matrix
-        _SOLO_CACHE_REFS[id(provider)] = provider
+        memo[key] = hit
     return hit
 
 

@@ -3,8 +3,8 @@
 The paper fixes the cluster and plans storage only, noting that
 "extending the model to incorporate heterogeneous VM types is part of
 our future work" (§4.2).  This module implements the natural first step
-of that extension: sweep candidate cluster sizes (and optionally VM
-types), run the tiering solver at each, and pick the size whose *best
+of that extension: sweep candidate cluster sizes of the provider's
+default VM, run the tiering solver at each, and pick the size whose *best
 plan* maximizes tenant utility — VM-hours and storage dollars trade off
 against each other through the same Eq. 2 objective.
 
@@ -16,10 +16,10 @@ embarrassingly parallel in principle and deterministic in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..cloud.provider import CloudProvider
-from ..cloud.vm import ClusterSpec, VMType
+from ..cloud.vm import VMType
 from ..errors import SolverError
 from ..profiler.profiler import build_model_matrix
 from ..workloads.spec import WorkloadSpec
@@ -50,7 +50,6 @@ def sweep_cluster_sizes(
     workload: WorkloadSpec,
     sizes: Sequence[int],
     provider: CloudProvider,
-    vm: Optional[VMType] = None,
     iterations: int = 1500,
     seed: int = 42,
 ) -> List[SizingPoint]:
@@ -59,9 +58,8 @@ def sweep_cluster_sizes(
     Parameters
     ----------
     sizes:
-        Candidate VM counts (e.g. ``(5, 10, 25, 50)``).
-    vm:
-        Worker shape; defaults to the provider's default VM.
+        Candidate VM counts (e.g. ``(5, 10, 25, 50)``), each a cluster
+        of the provider's default VM.
 
     Returns
     -------
@@ -72,11 +70,9 @@ def sweep_cluster_sizes(
         raise SolverError("need at least one candidate cluster size")
     if any(n <= 0 for n in sizes):
         raise SolverError(f"cluster sizes must be positive: {list(sizes)}")
-    vm = vm or provider.default_vm
-
     points: List[SizingPoint] = []
     for n_vms in sizes:
-        cluster = ClusterSpec(n_vms=n_vms, vm=vm)
+        cluster = provider.cluster(n_vms)
         matrix = build_model_matrix(provider=provider, cluster_spec=cluster)
         solver = CastPlusPlus(
             cluster_spec=cluster,
@@ -88,7 +84,7 @@ def sweep_cluster_sizes(
         plan = solver.solve(workload).best_state
         evaluation = solver.evaluate(workload, plan, reuse_aware=True)
         points.append(
-            SizingPoint(n_vms=n_vms, vm=vm, plan=plan, evaluation=evaluation)
+            SizingPoint(n_vms=n_vms, vm=cluster.vm, plan=plan, evaluation=evaluation)
         )
     return points
 

@@ -62,7 +62,7 @@ from ..cloud.provider import CloudProvider
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
 from ..errors import PlanError
-from ..profiler.models import ModelMatrix
+from ..profiler.models import ModelMatrix, derived
 from ..workloads.spec import WorkloadSpec
 from .perf_model import eq1_static_terms
 from .plan import CAPACITY_MULTIPLIERS, Placement, TieringPlan
@@ -114,26 +114,16 @@ class BandwidthTensor:
         self.bw = bw
 
 
-#: (id(matrix), apps, tiers) → (weakref(matrix), tensor).  Keyed by
-#: matrix identity — profiled matrices are memoized process-wide by
-#: :func:`repro.profiler.build_model_matrix`, so identity hits are the
-#: common case; the weakref guard detects id reuse after a collect.
-_BW_CACHE: Dict[Tuple[int, Tuple[str, ...], Tuple[Tier, ...]], Tuple[Any, Any]] = {}
-_BW_CACHE_MAX = 64
-
-
+@derived
 def bandwidth_tensor(
     matrix: ModelMatrix, apps: Tuple[str, ...], tiers: Tuple[Tier, ...]
 ) -> BandwidthTensor:
-    """The memoized ``(apps, tiers, grid, 3)`` bandwidth tensor.
+    """The ``(apps, tiers, grid, 3)`` bandwidth tensor, memoized on
+    ``matrix``.
 
     Bit-exact: the same ``at_array`` evaluation over the same grids as
     the inline build it replaces, so sharing cannot change any utility.
     """
-    key = (id(matrix), apps, tiers)
-    hit = _BW_CACHE.get(key)
-    if hit is not None and hit[0]() is matrix:
-        return hit[1]
     A, T = len(apps), len(tiers)
     lo = np.zeros((A, T), dtype=np.int64)
     hi = np.zeros((A, T), dtype=np.int64)
@@ -160,15 +150,7 @@ def bandwidth_tensor(
         bw[a, t, :n, 0] = m_arr
         bw[a, t, :n, 1] = s_arr
         bw[a, t, :n, 2] = r_arr
-    tensor = BandwidthTensor(apps, tiers, lo, hi, G, bw)
-    try:
-        ref = weakref.ref(matrix)
-    except TypeError:
-        return tensor
-    if len(_BW_CACHE) >= _BW_CACHE_MAX:
-        _BW_CACHE.clear()
-    _BW_CACHE[key] = (ref, tensor)
-    return tensor
+    return BandwidthTensor(apps, tiers, lo, hi, G, bw)
 
 
 class JobStatics:

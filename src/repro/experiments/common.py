@@ -54,8 +54,8 @@ def model_matrix(
 ) -> ModelMatrix:
     """The profiled model matrix for a deployment.
 
-    :func:`~repro.profiler.profiler.build_model_matrix` memoizes it per
-    (provider name, VM count), so experiment modules calling in with
+    :func:`~repro.profiler.profiler.build_model_matrix` memoizes it by
+    catalog and cluster content, so experiment modules calling in with
     equivalent deployments share one profiled matrix.
     """
     return build_model_matrix(

@@ -10,8 +10,9 @@ Hermite spline the REG model uses (§4.2.1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from ..cloud.storage import Tier
 from ..core.regression import CapacitySpline
@@ -129,17 +130,25 @@ class ModelMatrix:
 
     The offline profiler fills one of these; the estimator, solvers and
     experiments read it.  Lookups are by application *name* so the
-    matrix can outlive app-profile object identity.
+    matrix can outlive app-profile object identity.  Tables built from
+    the profiles (:func:`derived`) live on the matrix until the next
+    :meth:`put`; pickling ships only the profiles.
     """
 
     def __init__(self) -> None:
         self._profiles: Dict[Tuple[str, Tier], CapacityProfile] = {}
         self._bw_cache: Dict[Tuple[str, Tier, float], PhaseBandwidths] = {}
+        self._derived: Dict[Any, Any] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Worker payloads carry the profiles; a worker rebuilds tables.
+        return {**self.__dict__, "_bw_cache": {}, "_derived": {}}
 
     def put(self, app_name: str, tier: Tier, profile: CapacityProfile) -> None:
         """Record the profile for one (app, tier)."""
         self._profiles[(app_name, tier)] = profile
-        self._bw_cache.clear()
+        # New dicts: a lookup racing this put fills the dropped ones.
+        self._bw_cache, self._derived = {}, {}
 
     def get(self, app_name: str, tier: Tier) -> CapacityProfile:
         """Fetch a profile; raise :class:`CatalogError` when unprofiled."""
@@ -165,13 +174,33 @@ class ModelMatrix:
         re-query the same handful of capacities thousands of times.
         """
         key = (app_name, tier, quantize_capacity(capacity_gb_per_vm))
-        hit = self._bw_cache.get(key)
+        cache = self._bw_cache
+        hit = cache.get(key)
         if hit is None:
-            hit = self.get(app_name, tier).at(key[2])
-            self._bw_cache[key] = hit
+            hit = cache[key] = self.get(app_name, tier).at(key[2])
         return hit
 
     @property
     def pairs(self) -> Sequence[Tuple[str, Tier]]:
         """All profiled (app, tier) pairs."""
         return sorted(self._profiles.keys(), key=lambda p: (p[0], p[1].value))
+
+
+def derived(build: Callable[..., Any]) -> Callable[..., Any]:
+    """Memoize ``build(matrix, *args)`` on the matrix, per ``args``,
+    until the matrix's next :meth:`~ModelMatrix.put`.
+
+    A table is published only once built, so threads read it without a
+    lock; two racing first builds publish equal tables.
+    """
+
+    @functools.wraps(build)
+    def lookup(matrix: ModelMatrix, *args: Any) -> Any:
+        tables = matrix._derived
+        key = (build, args)
+        hit = tables.get(key)
+        if hit is None:
+            hit = tables.setdefault(key, build(matrix, *args))
+        return hit
+
+    return lookup

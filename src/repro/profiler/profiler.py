@@ -20,11 +20,13 @@ the observed total exactly at the calibration point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..cloud.provider import CloudProvider, google_cloud_2015
 from ..cloud.storage import Tier
 from ..cloud.vm import ClusterSpec
+from ..obs.tracing import span, use_context
+from ..simulator.cache import sim_key_context
 from ..simulator.engine import intermediate_tier_for, simulate_job
 from ..units import gb_to_mb
 from ..workloads.apps import APP_CATALOG, AppProfile
@@ -173,7 +175,7 @@ class Profiler:
         return matrix
 
 
-_MATRIX_CACHE: Dict[Tuple[str, int, int], ModelMatrix] = {}
+_MATRIX_CACHE: Dict[Tuple[Any, ...], ModelMatrix] = {}
 
 
 def build_model_matrix(
@@ -183,14 +185,24 @@ def build_model_matrix(
 ) -> ModelMatrix:
     """Profile (with caching) the full model matrix for a deployment.
 
-    Profiling is deterministic, so results are memoized per
-    (provider, cluster size, waves) — experiments and benches share one
+    Profiling is deterministic and reads only the simulator's inputs,
+    so results are memoized per (:func:`~repro.simulator.cache.sim_key_context`,
+    waves): a re-priced or renamed catalog shares its matrix, one that
+    performs differently gets its own.  Experiments and benches share one
     matrix instead of re-simulating ~100 calibration runs each.
+
+    A real build records one ``profiler.build`` span in the caller's
+    trace and runs its calibration simulations outside that trace.
     """
     provider = provider or google_cloud_2015()
-    cluster_spec = cluster_spec or ClusterSpec(n_vms=10)
-    key = (provider.name, cluster_spec.n_vms, waves)
-    if key not in _MATRIX_CACHE:
+    cluster_spec = cluster_spec or provider.cluster(10)
+    key = (sim_key_context(cluster_spec, provider), waves)
+    matrix = _MATRIX_CACHE.get(key)
+    if matrix is None:
         profiler = Profiler(provider=provider, cluster_spec=cluster_spec, waves=waves)
-        _MATRIX_CACHE[key] = profiler.profile_all()
-    return _MATRIX_CACHE[key]
+        with span("profiler.build", attrs={
+            "provider": provider.name, "n_vms": cluster_spec.n_vms,
+        }), use_context(None):
+            matrix = profiler.profile_all()
+        matrix = _MATRIX_CACHE.setdefault(key, matrix)
+    return matrix

@@ -124,7 +124,6 @@ def _run_whatif(request: Mapping[str, Any]) -> Dict[str, Any]:
     through the solver pool.
     """
     from ..cloud.storage import Tier
-    from ..cloud.vm import ClusterSpec
     from ..core.plan import TieringPlan
     from ..errors import WorkloadError
     from ..experiments.measure import measure_plan
@@ -136,7 +135,7 @@ def _run_whatif(request: Mapping[str, Any]) -> Dict[str, Any]:
         raise WorkloadError("whatif wants a workload spec (kind='workload')")
     workload = workload_from_dict(dict(spec))
     prov = resolve_provider(request["provider"])
-    cluster = ClusterSpec(n_vms=request["n_vms"])
+    cluster = prov.cluster(request["n_vms"])
     if request["plan"] is not None:
         plan = TieringPlan.from_dict(dict(request["plan"]))
     else:

@@ -39,7 +39,7 @@ import uuid
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..cloud import ClusterSpec, CloudProvider, google_cloud_2015
+from ..cloud import CloudProvider, google_cloud_2015
 from ..core import AnnealingSchedule, CastPlusPlus, CastSolver
 from ..core.evaluator import PlanEvaluator
 from ..core.plan import TieringPlan
@@ -223,9 +223,7 @@ class PlanningSession:
     # -- deployment context ------------------------------------------------
 
     def _rebuild_solver(self) -> None:
-        self.cluster_spec = ClusterSpec(
-            n_vms=self.n_vms, vm=self.provider.default_vm
-        )
+        self.cluster_spec = self.provider.cluster(self.n_vms)
         self.matrix = build_model_matrix(
             provider=self.provider, cluster_spec=self.cluster_spec
         )

@@ -14,7 +14,8 @@ The cache key is a plain tuple of everything the simulator reads:
   Python types (a tuple compares ``20 == 20.0``; the types keep such
   spellings apart);
 * the full application profile (selectivities, CPU rates, file counts),
-  as its canonical JSON, built once per profile object.  The
+  as its canonical JSON (``AppProfile.fields_json``, built once per
+  profile object).  The
   intermediate and output volumes are the profile's selectivities
   applied to the input size, so these two fields fix them;
 * input/output tiers, staging flags and any non-uniform block
@@ -22,18 +23,20 @@ The cache key is a plain tuple of everything the simulator reads:
 * resolved per-VM channel capacities (after defaulting — the footprint
   only matters through these), as ``(tier, float(cap))`` pairs sorted
   by tier;
-* the batch context of :func:`sim_key_context`: the cluster shape the
-  simulator reads (VM count, slot counts, NIC), a SHA-256 digest of the
-  provider catalog's *performance* fields — prices and the provider
-  name are excluded because the simulator never reads them, so a
-  price-only catalog change keeps its hits.
+* the batch context of :func:`sim_key_context`: the cluster fields the
+  simulator reads (VM count, slot counts, NIC) as a plain tuple, and
+  ``CloudProvider.digest``, a SHA-256 of the catalog's *performance*
+  fields computed once per provider — prices and the provider name are
+  excluded because the simulator never reads them, so a price-only
+  catalog change keeps its hits.
 
 The context is the same for every job of a batch, so batch callers
 build it once and pass it in; the per-job part hashes no bytes.  A key
 equal to another names the same inputs (``tests/test_sim_cache.py``
 checks it against the canonical-JSON key this module used before); the
-one spelling it merges that JSON kept apart is a ``-0.0`` against a
-``0.0`` cap, both an empty volume.
+spellings it merges that JSON kept apart are a ``-0.0`` against a
+``0.0`` cap, both an empty volume, and an int against a float of one
+value in the cluster fields, which the simulator computes alike.
 
 Hits are bit-exact by construction: the stored
 :class:`~repro.simulator.metrics.JobSimResult` is the object the
@@ -46,10 +49,8 @@ stored here nor served from here.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
-from dataclasses import asdict
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cloud.provider import CloudProvider
@@ -86,96 +87,20 @@ def cache_enabled() -> bool:
     return os.environ.get(CACHE_ENV, "").strip().lower() not in ("0", "false")
 
 
-def _canonical_json(obj: Any) -> str:
-    from ..service.fingerprint import canonical_json
-
-    return canonical_json(obj)
-
-
-# Providers are immutable once built; digest each object once.  Keyed
-# by id() with the provider kept as a strong reference so a recycled
-# id can never alias a different catalog.
-_CATALOG_MEMO: Dict[int, Tuple[CloudProvider, str]] = {}
-
-# Same discipline for the other shared immutable inputs a workload
-# re-presents hundreds of times per measurement: the (typically 4)
-# application profiles and the cluster spec.  Each is keyed by its
-# canonical JSON, so equal keys mean equal field values *and* types.
-_APP_MEMO: Dict[int, Tuple[Any, str]] = {}
-_CLUSTER_MEMO: Dict[int, Tuple[ClusterSpec, str]] = {}
-
-
-def _app_key(app: Any) -> str:
-    memo = _APP_MEMO.get(id(app))
-    if memo is not None and memo[0] is app:
-        return memo[1]
-    key = _canonical_json(asdict(app))
-    if len(_APP_MEMO) > 256:
-        _APP_MEMO.clear()
-    _APP_MEMO[id(app)] = (app, key)
-    return key
-
-
-def _cluster_key(cluster_spec: ClusterSpec) -> str:
-    memo = _CLUSTER_MEMO.get(id(cluster_spec))
-    if memo is not None and memo[0] is cluster_spec:
-        return memo[1]
-    key = _canonical_json({
-        "n_vms": cluster_spec.n_vms,
-        "map_slots": cluster_spec.vm.map_slots,
-        "reduce_slots": cluster_spec.vm.reduce_slots,
-        "network_mb_s": cluster_spec.vm.network_mb_s,
-    })
-    if len(_CLUSTER_MEMO) > 256:
-        _CLUSTER_MEMO.clear()
-    _CLUSTER_MEMO[id(cluster_spec)] = (cluster_spec, key)
-    return key
-
-
 def catalog_digest(provider: CloudProvider) -> str:
-    """Digest of the catalog fields the simulator can observe.
-
-    Performance-relevant only: throughput curves, volume shapes,
-    request overheads, staging rates and tier couplings.  Prices, IOPS
-    curves and the provider's name are deliberately excluded — the
-    simulator never reads them, so e.g. a re-priced catalog keeps its
-    cached simulations.
-    """
-    memo = _CATALOG_MEMO.get(id(provider))
-    if memo is not None and memo[0] is provider:
-        return memo[1]
-    payload = {}
-    for tier in sorted(provider.services, key=lambda t: t.value):
-        svc = provider.service(tier)
-        payload[tier.value] = {
-            "persistent": svc.persistent,
-            "throughput_points": [list(p) for p in svc.throughput.points],
-            "throughput_cap": svc.throughput.cap,
-            "fixed_volume_gb": svc.fixed_volume_gb,
-            "max_volumes_per_vm": svc.max_volumes_per_vm,
-            "max_volume_gb": svc.max_volume_gb,
-            "request_overhead_s": svc.request_overhead_s,
-            "bulk_staging_mb_s": svc.bulk_staging_mb_s,
-            "requires_backing": (
-                svc.requires_backing.value if svc.requires_backing else None
-            ),
-            "requires_intermediate": (
-                svc.requires_intermediate.value if svc.requires_intermediate else None
-            ),
-        }
-    digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-    if len(_CATALOG_MEMO) > 64:
-        _CATALOG_MEMO.clear()
-    _CATALOG_MEMO[id(provider)] = (provider, digest)
-    return digest
+    """Digest of the catalog fields the simulator can observe
+    (``CloudProvider.digest``, computed once per provider object)."""
+    return provider.digest
 
 
 def sim_key_context(
     cluster_spec: ClusterSpec, provider: CloudProvider
-) -> Tuple[str, str]:
+) -> Tuple[Any, ...]:
     """The part of a simulation key every job of one batch shares:
-    the cluster shape and the catalog digest."""
-    return (_cluster_key(cluster_spec), catalog_digest(provider))
+    the cluster fields the simulator reads and the catalog digest."""
+    vm = cluster_spec.vm
+    cluster = (cluster_spec.n_vms, vm.map_slots, vm.reduce_slots, vm.network_mb_s)
+    return (cluster, provider.digest)
 
 
 def job_sim_fingerprint(
@@ -188,7 +113,7 @@ def job_sim_fingerprint(
     stage_in: bool,
     stage_out: bool,
     placement_tiers: Optional[Sequence[Tier]] = None,
-    context: Optional[Tuple[str, str]] = None,
+    context: Optional[Tuple[Any, ...]] = None,
 ) -> SimKey:
     """Hashable key identifying one job simulation.
 
@@ -207,7 +132,7 @@ def job_sim_fingerprint(
     size = job.input_gb
     # ``_value_`` is ``.value`` without the enum descriptor's overhead.
     return (
-        _app_key(job.app),
+        job.app.fields_json,
         m, r, size,
         type(m), type(r), type(size),
         input_tier._value_,

@@ -200,7 +200,7 @@ def _deployment(
     :func:`~repro.profiler.build_model_matrix` memo.
     """
     provider = resolve_provider(provider_name)
-    cluster = ClusterSpec(n_vms=n_vms, vm=provider.default_vm)
+    cluster = provider.cluster(n_vms)
     return provider, cluster, build_model_matrix(provider=provider, cluster_spec=cluster)
 
 

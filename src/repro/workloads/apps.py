@@ -36,8 +36,10 @@ the paper's framework profiles jobs on the real cluster.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 __all__ = [
@@ -102,6 +104,13 @@ class AppProfile:
         for rate in (self.cpu_map_mb_s, self.cpu_shuffle_mb_s, self.cpu_reduce_mb_s):
             if rate <= 0:
                 raise ValueError(f"{self.name}: non-positive CPU rate")
+
+    @cached_property
+    def fields_json(self) -> str:
+        """Every field as canonical JSON, built once per object (the
+        simulation cache's key for a job's application)."""
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
     # -- derived data sizes (L-hat in Table 3) ----------------------------
 

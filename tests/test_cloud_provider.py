@@ -1,7 +1,10 @@
 """Provider assembly and lookups."""
 
+import pickle
+
 import pytest
 
+from repro.cloud import resolve_provider
 from repro.cloud.provider import google_cloud_2015
 from repro.cloud.storage import Tier
 from repro.errors import CatalogError
@@ -39,3 +42,15 @@ class TestProvider:
 
     def test_providers_are_value_objects(self):
         assert google_cloud_2015().name == google_cloud_2015().name
+
+    def test_resolved_providers_are_shared_and_read_only(self):
+        google = resolve_provider("google")
+        assert resolve_provider("google") is google
+        back = pickle.loads(pickle.dumps(google))
+        assert back == google
+        assert back.digest == google.digest
+        for prov in (google, back):
+            with pytest.raises(TypeError):
+                prov.services[Tier.PERS_SSD] = prov.services[Tier.PERS_HDD]
+            with pytest.raises(TypeError):
+                prov.prices.storage_price_gb_hr[Tier.PERS_SSD] = 0.0

@@ -6,7 +6,6 @@ approximate ones, and the solvers rely on that to produce identical
 plans from identical seeds.
 """
 
-import gc
 import json
 import os
 import subprocess
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud import resolve_provider
 from repro.cloud.aws import aws_2015
 from repro.cloud.provider import google_cloud_2015
 from repro.cloud.storage import Tier
@@ -27,11 +27,14 @@ from repro.core.castpp import CastPlusPlus
 from repro.core.evaluator import PlanEvaluator, PlanMove
 from repro.core.plan import Placement, TieringPlan
 from repro.core.solver import CAPACITY_MULTIPLIERS, CastSolver
+from repro.core.tensor_eval import bandwidth_tensor
 from repro.core.utility import evaluate_plan
 from repro.errors import CastError, CatalogError, PlanError
-from repro.profiler.models import ModelMatrix
+from repro.profiler import profiler as profiler_mod
+from repro.profiler.models import CapacityProfile, ModelMatrix, PhaseBandwidths
 from repro.profiler.profiler import build_model_matrix
 from repro.service.pool import SolverPool, solve_restart
+from repro.simulator.cache import sim_key_context
 from repro.workloads.io import workload_to_dict
 from repro.workloads.spec import JobSpec, ReuseLifetime, ReuseSet, WorkloadSpec
 from repro.workloads.swim import synthesize_facebook_workload, synthesize_small_workload
@@ -588,7 +591,7 @@ class TestSharedBandwidthTable:
         c = PlanEvaluator(make_workload(), CLUSTER, aws_matrix, aws_provider)
         assert c._bw is not a._bw
 
-    def test_thread_pool_restarts_match_serial_restarts(self):
+    def test_thread_pool_restarts_match_serial_restarts(self, monkeypatch):
         """Two restarts racing on a cold table in thread mode give the
         restarts' serial answers, counters included."""
         request = {
@@ -597,7 +600,13 @@ class TestSharedBandwidthTable:
             "provider": "google", "n_vms": 25, "iterations": 400,
             "seed": 5, "use_castpp": True,
         }
-        evaluator_mod._BW_IDS.clear()
+        # The restarts resolve a fresh copy of the memoized matrix, so
+        # its tables start cold.
+        provider = resolve_provider("google")
+        cluster = provider.cluster(25)
+        key = (sim_key_context(cluster, provider), 2)
+        warm = build_model_matrix(provider=provider, cluster_spec=cluster)
+        monkeypatch.setitem(profiler_mod._MATRIX_CACHE, key, _copy_matrix(warm))
         pool = SolverPool(processes=0, restarts=2)
         try:
             threaded = pool.solve_sync(request)
@@ -615,25 +624,34 @@ class TestSharedBandwidthTable:
             for key in serial[0]["evaluator"]
         }
 
-    def test_recycled_matrix_id_gets_its_own_table(self):
-        """A dead entry under a new matrix's id — what the cache holds
-        when CPython hands a collected matrix's address to a new one —
-        is rebuilt, not served."""
+    def test_put_drops_the_derived_tables(self):
+        """After a ``put``, the tensor and id tables read the new
+        profile, as ``matrix.bandwidths`` does."""
         provider, matrix = DEPLOYMENTS["google"]
         tiers = tuple(provider.tiers)
-        old = _copy_matrix(matrix, skip_app="sort")
-        old_table = evaluator_mod.bandwidth_ids(old, tiers)
-        ref, _ = evaluator_mod._BW_IDS[(id(old), tiers)]
-        del old
-        gc.collect()
-        assert ref() is None
-        new = _copy_matrix(matrix)
-        evaluator_mod._BW_IDS[(id(new), tiers)] = (ref, old_table)
-        table = evaluator_mod.bandwidth_ids(new, tiers)
-        assert table is not old_table
-        assert ("sort", Tier.PERS_SSD) in table
-        assert ("sort", Tier.PERS_SSD) not in old_table
-        assert evaluator_mod.bandwidth_ids(new, tiers) is table
+        copy = _copy_matrix(matrix)
+        apps = tuple(sorted({a for a, _ in copy.pairs}))
+        old_tensor = bandwidth_tensor(copy, apps, tiers)
+        old_ids = evaluator_mod.bandwidth_ids(copy, tiers)
+        assert bandwidth_tensor(copy, apps, tiers) is old_tensor
+        assert evaluator_mod.bandwidth_ids(copy, tiers) is old_ids
+
+        a, t = apps.index("sort"), tiers.index(Tier.PERS_SSD)
+        slow = CapacityProfile(anchors=tuple(
+            (cap, PhaseBandwidths(bw.map_mb_s / 2, bw.shuffle_mb_s / 2,
+                                  bw.reduce_mb_s / 2))
+            for cap, bw in copy.get("sort", Tier.PERS_SSD).anchors
+        ))
+        copy.put("sort", Tier.PERS_SSD, slow)
+        tensor = bandwidth_tensor(copy, apps, tiers)
+        lo, hi, ids, rows = evaluator_mod.bandwidth_ids(copy, tiers)[
+            ("sort", Tier.PERS_SSD)]
+        for cap in (100, 350, 500, 1000):
+            bw = copy.bandwidths("sort", Tier.PERS_SSD, cap)
+            want = [bw.map_mb_s, bw.shuffle_mb_s, bw.reduce_mb_s]
+            assert tensor.bw[a, t, cap - int(tensor.lo[a, t])].tolist() == want
+            assert rows[ids[cap - lo]].tolist() == want
+            assert want != old_tensor.bw[a, t, cap - int(old_tensor.lo[a, t])].tolist()
 
     def test_unprofiled_pair_is_a_catalog_error(self):
         provider, matrix = DEPLOYMENTS["google"]

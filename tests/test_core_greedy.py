@@ -141,7 +141,7 @@ def reference_plan(workload, cluster, matrix, provider, over_provision, tiers):
     candidates = list(tiers) if tiers is not None else list(provider.tiers)
     placements = {}
     for job in workload.jobs:
-        greedy._SOLO_CACHE.clear()  # score this job, not a memoized shape
+        greedy.solo_memo(matrix).clear()  # score this job, not a memoized shape
         best, best_u = None, float("-inf")
         for tier in candidates:
             cap = (
@@ -230,13 +230,38 @@ def test_solo_memo_holds_shapes_not_jobs(custom_matrix, char_cluster, provider):
             for i, (app, gb, m, r) in enumerate(shapes * 4)
         ))
 
-    greedy._SOLO_CACHE.clear()
+    memo = greedy.solo_memo(custom_matrix)
+    memo.clear()
     for over_provision in (False, True):
         greedy_plan(workload("a"), char_cluster, custom_matrix, provider,
                     over_provision=over_provision)
-    size = len(greedy._SOLO_CACHE)
+    size = len(memo)
     assert size <= 2 * len(shapes) * len(provider.tiers)
     for over_provision in (False, True):
         greedy_plan(workload("b"), char_cluster, custom_matrix, provider,
                     over_provision=over_provision)
-    assert len(greedy._SOLO_CACHE) == size
+    assert len(memo) == size
+
+
+def test_solo_memo_hits_across_requests():
+    """Each named provider and its profiled matrix are one object per
+    process, so a second identical request adds no memo entries."""
+    from repro.cloud import resolve_provider
+    from repro.core.solver import solve_workload_request
+    from repro.profiler.profiler import build_model_matrix
+    from repro.workloads.io import workload_to_dict
+    from repro.workloads.swim import synthesize_small_workload
+
+    google = resolve_provider("google")
+    request = dict(
+        workload=workload_to_dict(synthesize_small_workload(n_jobs=20)),
+        provider="google", n_vms=6, iterations=50, seed=1,
+    )
+    solve_workload_request(**request)
+    memo = greedy.solo_memo(
+        build_model_matrix(provider=google, cluster_spec=google.cluster(6))
+    )
+    size = len(memo)
+    assert size > 0
+    solve_workload_request(**request)
+    assert len(memo) == size

@@ -1,5 +1,7 @@
 """Offline profiler and the model matrix."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.storage import Tier
@@ -109,6 +111,33 @@ class TestProfiler:
         a = build_model_matrix(provider=provider, cluster_spec=char_cluster)
         b = build_model_matrix(provider=provider, cluster_spec=char_cluster)
         assert a is b
+
+    def test_build_model_matrix_keys_by_catalog_content(self, provider, char_cluster):
+        """A catalog that performs differently gets its own profile
+        even under the same name; a re-priced one shares the matrix."""
+        google = build_model_matrix(provider=provider, cluster_spec=char_cluster)
+        ssd = provider.service(Tier.PERS_SSD)
+        curve = ssd.throughput
+        doubled = replace(ssd, throughput=replace(
+            curve, points=tuple((c, v * 2) for c, v in curve.points), cap=curve.cap * 2,
+        ))
+        faster = replace(provider, services={**provider.services, Tier.PERS_SSD: doubled})
+        assert faster.name == provider.name
+
+        matrix = build_model_matrix(provider=faster, cluster_spec=char_cluster)
+        assert matrix is not google
+        fresh = Profiler(provider=faster, cluster_spec=char_cluster).profile_all()
+        assert matrix.pairs == fresh.pairs
+        for app, tier in fresh.pairs:
+            assert matrix.get(app, tier) == fresh.get(app, tier)
+        assert matrix.bandwidths("sort", Tier.PERS_SSD, 500.0) != google.bandwidths(
+            "sort", Tier.PERS_SSD, 500.0)
+
+        repriced = replace(
+            provider, name="repriced",
+            prices=replace(provider.prices, vm_price_per_min=99.0),
+        )
+        assert build_model_matrix(provider=repriced, cluster_spec=char_cluster) is google
 
     def test_partial_profiling(self, provider, char_cluster):
         profiler = Profiler(provider=provider, cluster_spec=char_cluster)

@@ -329,6 +329,35 @@ class TestWhatifOp:
 
         run(scenario())
 
+    def test_whatif_runs_on_the_providers_vm(self, monkeypatch):
+        """An aws what-if measures a cluster of aws's default VM, as an
+        aws plan solves on one."""
+        from repro.cloud import resolve_provider
+        from repro.experiments import measure
+
+        clusters = []
+        measure_plan = measure.measure_plan
+
+        def spy(workload, plan, cluster, provider, **kwargs):
+            clusters.append(cluster)
+            return measure_plan(workload, plan, cluster, provider, **kwargs)
+
+        monkeypatch.setattr(measure, "measure_plan", spy)
+
+        async def scenario():
+            server = PlannerServer(pool=SolverPool(processes=0, restarts=1))
+            task = await serving(server)
+            try:
+                async with PlannerClient(*server.address) as client:
+                    await client.whatif(small_spec(), tier="persSSD",
+                                        provider="aws", n_vms=5)
+            finally:
+                await shutdown(server, task)
+
+        run(scenario())
+        assert [c.vm.name for c in clusters] == ["c3.4xlarge"]
+        assert clusters == [resolve_provider("aws").cluster(5)]
+
     def test_whatif_with_plan_dict(self):
         async def scenario():
             from repro.cloud.storage import Tier
@@ -448,11 +477,14 @@ class TestSweepOp:
 
         run(scenario())
 
-    def test_pooled_sweep_workers_inherit_profiled_catalogs(self):
+    def test_pooled_sweep_workers_inherit_profiled_catalogs(self, monkeypatch):
         """A ``workers=2`` sweep profiles its catalogs in the server
-        before forking, so a later pooled sweep's fresh workers re-run
-        no calibration simulation."""
+        before forking, one ``profiler.build`` span each, so a later
+        pooled sweep's fresh workers profile nothing."""
         from repro.obs.tracing import trace_collector
+        from repro.profiler import profiler as profiler_mod
+
+        monkeypatch.setattr(profiler_mod, "_MATRIX_CACHE", {})
 
         async def scenario():
             server = PlannerServer(pool=SolverPool(processes=0, restarts=1))
@@ -472,10 +504,13 @@ class TestSweepOp:
             finally:
                 await shutdown(server, task)
 
-        _, second = run(scenario())
+        first, second = run(scenario())
+        names = [s.name for s in trace_collector().records(trace_id=first)]
+        assert names.count("profiler.build") == 3
+        assert "simulator.job" not in names
         names = [s.name for s in trace_collector().records(trace_id=second)]
         assert names.count("solver.solve") == 3
-        assert "simulator.job" not in names
+        assert "profiler.build" not in names
 
 
 class TestBackpressureAndTimeouts:
