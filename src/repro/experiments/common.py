@@ -55,8 +55,8 @@ def model_matrix(
     """The profiled model matrix for a deployment.
 
     :func:`~repro.profiler.profiler.build_model_matrix` memoizes it by
-    catalog and cluster content, so experiment modules calling in with
-    equivalent deployments share one profiled matrix.
+    catalog content and VM shape, so experiment modules calling in with
+    any cluster size of one shape share one profiled matrix.
     """
     return build_model_matrix(
         provider=prov or provider(),

@@ -48,12 +48,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cloud import CloudProvider, ClusterSpec, resolve_provider
+from ..cloud import resolve_provider
 from ..core import AnnealingSchedule, CastPlusPlus, CastSolver, TieringPlan
 from ..errors import SolverError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
-from ..profiler import ModelMatrix, build_model_matrix
+from ..profiler import build_model_matrix
 from ..workloads.spec import WorkloadSpec
 from .grid import SweepPoint, plan_grid
 
@@ -191,19 +191,6 @@ class SweepResult:
         }
 
 
-def _deployment(
-    provider_name: str, n_vms: int
-) -> Tuple[CloudProvider, ClusterSpec, ModelMatrix]:
-    """``(provider, cluster, profiled matrix)`` of one grid catalog.
-
-    The matrix comes from the process-wide
-    :func:`~repro.profiler.build_model_matrix` memo.
-    """
-    provider = resolve_provider(provider_name)
-    cluster = provider.cluster(n_vms)
-    return provider, cluster, build_model_matrix(provider=provider, cluster_spec=cluster)
-
-
 class _Context:
     """Shared per-(catalog, workload, cluster) solve infrastructure."""
 
@@ -217,7 +204,11 @@ class _Context:
         config: SweepConfig,
     ) -> None:
         self.workload = workload
-        self.provider, self.cluster, self.matrix = _deployment(provider_name, n_vms)
+        self.provider = resolve_provider(provider_name)
+        self.cluster = self.provider.cluster(n_vms)
+        self.matrix = build_model_matrix(
+            provider=self.provider, cluster_spec=self.cluster
+        )
         solver_cls = CastPlusPlus if config.use_castpp else CastSolver
         self.solver = solver_cls(
             cluster_spec=self.cluster,
@@ -407,11 +398,6 @@ class SweepEngine:
             # serial sweep needs none of it).
             from ..experiments.runner import ExperimentRunner
 
-            # Profile every catalog here, before the pool forks its
-            # workers: they inherit the memoized matrices instead of
-            # each re-profiling them.
-            for name, n_vms in sorted({(p.provider, p.n_vms) for p in self.grid}):
-                _deployment(name, n_vms)
             runner = ExperimentRunner(self.workers)
         try:
             for wave in sorted(waves):

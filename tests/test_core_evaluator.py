@@ -604,7 +604,8 @@ class TestSharedBandwidthTable:
         # its tables start cold.
         provider = resolve_provider("google")
         cluster = provider.cluster(25)
-        key = (sim_key_context(cluster, provider), 2)
+        # The memo key names the one-VM calibration cluster of that shape.
+        key = (sim_key_context(ClusterSpec(n_vms=1, vm=cluster.vm), provider), 2)
         warm = build_model_matrix(provider=provider, cluster_spec=cluster)
         monkeypatch.setitem(profiler_mod._MATRIX_CACHE, key, _copy_matrix(warm))
         pool = SolverPool(processes=0, restarts=2)

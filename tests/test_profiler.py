@@ -4,8 +4,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cloud import resolve_provider
 from repro.cloud.storage import Tier
+from repro.cloud.vm import ClusterSpec
+from repro.core.sizing import sweep_cluster_sizes
 from repro.errors import CatalogError
+from repro.obs import tracing
+from repro.profiler import profiler as profiler_mod
 from repro.profiler.models import CapacityProfile, ModelMatrix, PhaseBandwidths
 from repro.profiler.profiler import Profiler, build_model_matrix
 from repro.workloads.apps import GREP, SORT
@@ -144,3 +149,88 @@ class TestProfiler:
         matrix = profiler.profile_all(apps=[GREP], tiers=[Tier.OBJ_STORE])
         assert matrix.has("grep", Tier.OBJ_STORE)
         assert not matrix.has("sort", Tier.OBJ_STORE)
+
+
+def max_relative_difference(a, b):
+    """Largest relative gap between two matrices' profiled bandwidths."""
+    assert a.pairs == b.pairs
+    worst = 0.0
+    for app, tier in a.pairs:
+        pa, pb = a.get(app, tier), b.get(app, tier)
+        assert pa.capacities == pb.capacities
+        for (_, x), (_, y) in zip(pa.anchors, pb.anchors):
+            for field in ("map_mb_s", "shuffle_mb_s", "reduce_mb_s"):
+                u, v = getattr(x, field), getattr(y, field)
+                worst = max(worst, abs(u - v) / abs(v))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["google", "aws", "azure"])
+def test_profiles_do_not_depend_on_cluster_size(name):
+    """The one-VM calibration matrix is the one every cluster size
+    would profile: bit for bit at 2, 10 and 25 VMs, within float
+    rounding of per-node shares at 3 and 7.  A catalog term that
+    couples VMs would break this, and ``n_vms`` would have to go back
+    into the memo key."""
+    provider = resolve_provider(name)
+    one = Profiler(provider, ClusterSpec(n_vms=1, vm=provider.default_vm)).profile_all()
+    for n_vms in (2, 3, 7, 10, 25):
+        matrix = Profiler(provider, provider.cluster(n_vms)).profile_all()
+        if n_vms in (3, 7):
+            assert max_relative_difference(matrix, one) <= 1e-15
+        else:
+            assert matrix.__getstate__() == one.__getstate__()
+
+
+class TestOneVMCalibration:
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        """Fresh memo and collector; yields the calibration clusters
+        profiled from here on."""
+        monkeypatch.setattr(profiler_mod, "_MATRIX_CACHE", {})
+        monkeypatch.setattr(tracing, "_COLLECTOR", tracing.TraceCollector())
+        monkeypatch.setattr(tracing, "_RECORDING", True)
+        seen = []
+        profile_all = Profiler.profile_all
+
+        def spy(self, *args, **kwargs):
+            seen.append(self.cluster_spec)
+            return profile_all(self, *args, **kwargs)
+
+        monkeypatch.setattr(Profiler, "profile_all", spy)
+        return seen
+
+    def test_every_cluster_size_shares_one_build(self, provider, calibrations):
+        matrices = [
+            build_model_matrix(provider=provider, cluster_spec=provider.cluster(n))
+            for n in (1, 7, 25, 100, 400)
+        ]
+        assert all(m is matrices[0] for m in matrices)
+        assert len(profiler_mod._MATRIX_CACHE) == 1
+        assert calibrations == [ClusterSpec(n_vms=1, vm=provider.default_vm)]
+        names = [s.name for s in tracing.trace_collector().records()]
+        assert names == ["profiler.build"]
+
+    def test_cold_build_adds_one_span(self, provider, calibrations):
+        """The calibration simulations' spans never reach the collector."""
+        build_model_matrix(provider=provider, cluster_spec=provider.cluster(25))
+        (record,) = tracing.trace_collector().records()
+        assert record.name == "profiler.build" and record.parent_id is None
+        assert record.attrs == {"provider": provider.name, "vm": provider.default_vm.name}
+
+    def test_vm_shape_gets_its_own_entry(self, provider, calibrations):
+        default = build_model_matrix(provider=provider, cluster_spec=provider.cluster(25))
+        slow_nic = replace(provider.default_vm, name="slow-nic", network_mb_s=100.0)
+        matrix = build_model_matrix(
+            provider=provider, cluster_spec=ClusterSpec(n_vms=25, vm=slow_nic)
+        )
+        assert matrix is not default
+        assert len(profiler_mod._MATRIX_CACHE) == 2
+        assert calibrations[-1] == ClusterSpec(n_vms=1, vm=slow_nic)
+        assert matrix.bandwidths("sort", Tier.PERS_SSD, 1000.0) != default.bandwidths(
+            "sort", Tier.PERS_SSD, 1000.0)
+
+    def test_cluster_size_sweep_profiles_once(self, provider, small_workload, calibrations):
+        points = sweep_cluster_sizes(small_workload, (5, 10, 25, 50), provider, iterations=20)
+        assert [p.n_vms for p in points] == [5, 10, 25, 50]
+        assert calibrations == [ClusterSpec(n_vms=1, vm=provider.default_vm)]

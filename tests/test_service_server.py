@@ -477,14 +477,24 @@ class TestSweepOp:
 
         run(scenario())
 
-    def test_pooled_sweep_workers_inherit_profiled_catalogs(self, monkeypatch):
-        """A ``workers=2`` sweep profiles its catalogs in the server
-        before forking, one ``profiler.build`` span each, so a later
-        pooled sweep's fresh workers profile nothing."""
+    def test_pooled_sweep_workers_profile_each_catalog_once(self, monkeypatch):
+        """A ``workers=2`` sweep's processes each profile a catalog at
+        most once, on their own one-VM calibration cluster, and the
+        calibration simulations leave no span in the sweep's trace."""
+        import os
+        from collections import Counter
+
         from repro.obs.tracing import trace_collector
         from repro.profiler import profiler as profiler_mod
 
         monkeypatch.setattr(profiler_mod, "_MATRIX_CACHE", {})
+        span = profiler_mod.span
+
+        def span_with_pid(name, attrs=None, **kw):
+            # Forked workers inherit this wrapper: a build names its process.
+            return span(name, attrs={**(attrs or {}), "pid": os.getpid()}, **kw)
+
+        monkeypatch.setattr(profiler_mod, "span", span_with_pid)
 
         async def scenario():
             server = PlannerServer(pool=SolverPool(processes=0, restarts=1))
@@ -495,7 +505,7 @@ class TestSweepOp:
                     for seed in (1, 2):
                         r = await client.sweep(
                             small_spec(), providers=["google", "aws", "azure"],
-                            reps=1, n_vms=7, iterations=40, seed=seed,
+                            reps=2, n_vms=7, iterations=40, seed=seed,
                             workers=2,
                         )
                         assert r["cached"] is False and r["parity_ok"] is True
@@ -504,13 +514,21 @@ class TestSweepOp:
             finally:
                 await shutdown(server, task)
 
-        first, second = run(scenario())
-        names = [s.name for s in trace_collector().records(trace_id=first)]
-        assert names.count("profiler.build") == 3
-        assert "simulator.job" not in names
-        names = [s.name for s in trace_collector().records(trace_id=second)]
-        assert names.count("solver.solve") == 3
-        assert "profiler.build" not in names
+        builds = Counter()
+        for trace_id in run(scenario()):
+            records = trace_collector().records(trace_id=trace_id)
+            names = [s.name for s in records]
+            assert names.count("solver.solve") == 6
+            assert "simulator.job" not in names
+            sweep_builds = Counter(
+                (s.attrs["pid"], s.attrs["provider"])
+                for s in records if s.name == "profiler.build"
+            )
+            # A one-chunk wave runs in the caller; the rest on the two workers.
+            assert len({pid for pid, _ in sweep_builds} - {os.getpid()}) <= 2
+            builds.update(sweep_builds)
+        assert len({provider for _, provider in builds}) == 3
+        assert set(builds.values()) == {1}
 
 
 class TestBackpressureAndTimeouts:
